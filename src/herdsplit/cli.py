@@ -262,4 +262,8 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    # Lift CPython's int<->str digit limit: lcms of long divisor lists and
+    # herds given on the command line can exceed 4300 digits.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     sys.exit(run())

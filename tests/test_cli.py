@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, payloads, stream discipline."""
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -260,3 +261,46 @@ def test_module_entry_point_matches_in_process_run():
     assert proc.returncode == 0
     assert proc.stdout == SOLVE_17_JSON
     assert proc.stderr == ""
+
+
+def _lifted_digit_limit(fn):
+    """Run fn with CPython's int<->str digit limit lifted, then restore it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return fn()
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_entry_point_prints_an_lcm_past_the_int_str_digit_limit():
+    primes = []
+    n = 1000003
+    while len(primes) < 800:
+        if all(n % d for d in range(2, math.isqrt(n) + 1)):
+            primes.append(n)
+        n += 2
+    proc = subprocess.run(
+        [sys.executable, "-m", "herdsplit", "check",
+         "--divisors", ",".join(map(str, primes)), "--format", "json"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    m = json.loads(proc.stdout)["m"]
+    assert len(m) > 4300
+    assert m == _lifted_digit_limit(lambda: str(math.lcm(*primes)))
+
+
+def test_entry_point_accepts_a_herd_past_the_int_str_digit_limit():
+    herd = "17" + "0" * 4400
+    proc = subprocess.run(
+        [sys.executable, "-m", "herdsplit", "solve", "--divisors", "2,3,9",
+         "--herd", herd, "--format", "json"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["herd"] == herd
+    assert payload["loan"] == "1" + "0" * 4400
