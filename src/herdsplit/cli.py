@@ -1,10 +1,12 @@
 """Command-line front end: check, solve, herds, breakdown, generate, explain.
 
 Exit codes: 0 = success/feasible, 1 = valid input but infeasible herd,
-2 = invalid input (parse or validation error, diagnostic on stderr).
+2 = invalid input (parse or validation error, diagnostic on stderr),
+3 = internal error (one "error: internal: ..." line on stderr, no stdout).
 Results go to stdout only; diagnostics go to stderr only. JSON output is a
 single object with every integer rendered as a decimal string and every
-rational as a reduced {"num", "den"} pair.
+rational as a reduced {"num", "den"} pair. Text output lists the same
+object's fields in the same order, one "label: value" line each.
 """
 
 import argparse
@@ -17,6 +19,7 @@ from .errors import HerdsplitError
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INVALID = 2
+EXIT_INTERNAL = 3
 
 
 def _divisor_list(text: str) -> tuple[int, ...]:
@@ -36,6 +39,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format (default: text)",
     )
+    divisors = argparse.ArgumentParser(add_help=False)
+    divisors.add_argument("--divisors", type=_divisor_list, required=True, metavar="L")
+    herd = argparse.ArgumentParser(add_help=False)
+    herd.add_argument("--herd", type=int, required=True, metavar="N")
 
     parser = argparse.ArgumentParser(
         prog="herdsplit",
@@ -45,23 +52,18 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    with_spec = [shared, divisors]
+    with_herd = [shared, divisors, herd]
 
-    p = sub.add_parser("check", parents=[shared], help="validate a divisor list")
-    p.add_argument("--divisors", type=_divisor_list, required=True, metavar="L")
+    sub.add_parser("check", parents=with_spec, help="validate a divisor list")
+    sub.add_parser("solve", parents=with_herd, help="split a herd, or say why not")
 
-    p = sub.add_parser("solve", parents=[shared], help="split a herd, or say why not")
-    p.add_argument("--divisors", type=_divisor_list, required=True, metavar="L")
-    p.add_argument("--herd", type=int, required=True, metavar="N")
-
-    p = sub.add_parser("herds", parents=[shared], help="list feasible herd sizes")
-    p.add_argument("--divisors", type=_divisor_list, required=True, metavar="L")
+    p = sub.add_parser("herds", parents=with_spec, help="list feasible herd sizes")
     p.add_argument("--limit", type=int, required=True, metavar="N")
 
-    p = sub.add_parser(
-        "breakdown", parents=[shared], help="exact fractional shares and leftover"
+    sub.add_parser(
+        "breakdown", parents=with_herd, help="exact fractional shares and leftover"
     )
-    p.add_argument("--divisors", type=_divisor_list, required=True, metavar="L")
-    p.add_argument("--herd", type=int, required=True, metavar="N")
 
     p = sub.add_parser("generate", parents=[shared], help="enumerate puzzle specs")
     p.add_argument("--heirs", type=int, required=True, metavar="K")
@@ -69,9 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-loan", type=int, default=None, metavar="X")
     p.add_argument("--duplicates", action="store_true")
 
-    p = sub.add_parser("explain", parents=[shared], help="narrate a solution")
-    p.add_argument("--divisors", type=_divisor_list, required=True, metavar="L")
-    p.add_argument("--herd", type=int, required=True, metavar="N")
+    sub.add_parser("explain", parents=with_herd, help="narrate a solution")
 
     return parser
 
@@ -81,99 +81,120 @@ def to_json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+# Text output lists the payload's fields in order as "label: value" lines;
+# the label is the key with "_" shown as " " unless named here.
+_LABELS = {
+    "reduced": "share sum",
+    "nearest_below": "nearest feasible below",
+    "nearest_above": "nearest feasible above",
+}
+# Row blocks: key -> (header line, line printed when there are no rows or None)
+_BLOCKS = {
+    "herds": ("feasible herds (herd loan):", "feasible herds: none"),
+    "puzzles": ("puzzles (divisors r m minimal_herd minimal_loan):", None),
+    "steps": ("steps:", None),
+}
+
+
+def _text_value(value) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if value is None:
+        return "none"
+    if isinstance(value, dict):  # a rational
+        den = value["den"]
+        return value["num"] if den == "1" else f"{value['num']}/{den}"
+    if isinstance(value, list):
+        return ", ".join(map(_text_value, value)) or "none"
+    return value
+
+
+def _text_row(row) -> str:
+    if isinstance(row, str):
+        return row
+    return " ".join(",".join(v) if isinstance(v, list) else v for v in row.values())
+
+
+def to_text(payload: dict) -> str:
+    """Text rendering of the same payload `to_json` renders."""
+    lines = []
+    for key, value in payload.items():
+        if key in _BLOCKS:
+            header, empty = _BLOCKS[key]
+            if value:
+                lines.append(header)
+                lines.extend(map(_text_row, value))
+            elif empty is not None:
+                lines.append(empty)
+        elif key == "max_loan" and value is None:
+            lines.append("max loan: unbounded")
+        else:
+            label = _LABELS.get(key, key.replace("_", " "))
+            lines.append(f"{label}: {_text_value(value)}")
+    return "\n".join(lines) + "\n"
+
+
 def _frac_json(q) -> dict:
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
-def _join(values) -> str:
-    return ", ".join(str(v) for v in values)
-
-
-def _spec_fields(spec: solver.ShareSpec) -> tuple[dict, list[str]]:
+def _spec_fields(spec: solver.ShareSpec) -> dict:
     fs = spec.fraction_sum
-    payload = {
+    return {
         "divisors": [str(s) for s in spec.divisors],
         "r": str(fs.r),
         "m": str(fs.m),
     }
-    lines = [f"divisors: {_join(spec.divisors)}", f"r: {fs.r}", f"m: {fs.m}"]
-    return payload, lines
 
 
-def _solve_fields(spec, herd):
-    """Shared by solve and explain: payload/text for the solved herd."""
-    sol = solver.solve(spec, herd)
-    payload, lines = _spec_fields(spec)
-    payload["herd"] = str(herd)
-    lines.append(f"herd: {herd}")
+def _cmd_check(args):
+    spec = solver.validate_spec(args.divisors)
+    payload = _spec_fields(spec)
+    payload["reduced"] = _frac_json(spec.fraction_sum.reduced)
+    return EXIT_OK, payload
+
+
+def _cmd_solve(args):
+    """solve, and explain, which adds the narrated steps of a feasible split."""
+    spec = solver.validate_spec(args.divisors)
+    sol = solver.solve(spec, args.herd)
+    payload = _spec_fields(spec)
+    payload["herd"] = str(args.herd)
     if isinstance(sol, solver.Infeasible):
         payload["feasible"] = False
         below = sol.nearest_below
         payload["nearest_below"] = None if below is None else str(below)
         payload["nearest_above"] = str(sol.nearest_above)
-        lines.append("feasible: no")
-        lines.append(f"nearest feasible below: {'none' if below is None else below}")
-        lines.append(f"nearest feasible above: {sol.nearest_above}")
-        return EXIT_INFEASIBLE, None, payload, lines
+        return EXIT_INFEASIBLE, payload
     payload["feasible"] = True
     payload["loan"] = str(sol.loan)
     payload["augmented"] = str(sol.augmented)
     payload["multiplier"] = str(sol.multiplier)
     payload["shares"] = [str(s) for s in sol.shares]
-    lines.append("feasible: yes")
-    lines.append(f"loan: {sol.loan}")
-    lines.append(f"augmented: {sol.augmented}")
-    lines.append(f"multiplier: {sol.multiplier}")
-    lines.append(f"shares: {_join(sol.shares)}")
-    return EXIT_OK, sol, payload, lines
-
-
-def _cmd_check(args):
-    spec = solver.validate_spec(args.divisors)
-    payload, lines = _spec_fields(spec)
-    reduced = spec.fraction_sum.reduced
-    payload["reduced"] = _frac_json(reduced)
-    lines.append(f"share sum: {reduced}")
-    return EXIT_OK, payload, lines
-
-
-def _cmd_solve(args):
-    spec = solver.validate_spec(args.divisors)
-    code, _, payload, lines = _solve_fields(spec, args.herd)
-    return code, payload, lines
+    if args.command == "explain":
+        payload["steps"] = solver.explain(sol)
+    return EXIT_OK, payload
 
 
 def _cmd_herds(args):
     spec = solver.validate_spec(args.divisors)
     rows = solver.feasible_herds(spec, args.limit)
-    payload, lines = _spec_fields(spec)
+    payload = _spec_fields(spec)
     payload["limit"] = str(args.limit)
     payload["herds"] = [{"herd": str(h), "loan": str(x)} for h, x in rows]
-    lines.append(f"limit: {args.limit}")
-    if rows:
-        lines.append("feasible herds (herd loan):")
-        lines.extend(f"{h} {x}" for h, x in rows)
-    else:
-        lines.append("feasible herds: none")
-    return EXIT_OK, payload, lines
+    return EXIT_OK, payload
 
 
 def _cmd_breakdown(args):
     spec = solver.validate_spec(args.divisors)
     bd = solver.fractional_breakdown(spec, args.herd)
-    feasible = bool(bd.topups)
-    payload, lines = _spec_fields(spec)
+    payload = _spec_fields(spec)
     payload["herd"] = str(args.herd)
-    payload["feasible"] = feasible
+    payload["feasible"] = bool(bd.topups)
     payload["raw_shares"] = [_frac_json(q) for q in bd.raw_shares]
     payload["leftover"] = _frac_json(bd.leftover)
     payload["topups"] = [_frac_json(q) for q in bd.topups]
-    lines.append(f"herd: {args.herd}")
-    lines.append(f"feasible: {'yes' if feasible else 'no'}")
-    lines.append(f"raw shares: {_join(bd.raw_shares)}")
-    lines.append(f"leftover: {bd.leftover}")
-    lines.append(f"topups: {_join(bd.topups) if feasible else 'none'}")
-    return EXIT_OK, payload, lines
+    return EXIT_OK, payload
 
 
 def _cmd_generate(args):
@@ -201,33 +222,7 @@ def _cmd_generate(args):
             for rec in records
         ],
     }
-    lines = [
-        f"heirs: {bounds.heirs}",
-        f"max divisor: {bounds.max_divisor}",
-        f"max loan: {'unbounded' if bounds.max_loan is None else bounds.max_loan}",
-        f"duplicates: {'yes' if bounds.allow_duplicates else 'no'}",
-        f"count: {len(records)}",
-    ]
-    if records:
-        lines.append("puzzles (divisors r m minimal_herd minimal_loan):")
-        lines.extend(
-            f"{','.join(map(str, rec.divisors))} "
-            f"{rec.r} {rec.m} {rec.minimal_herd} {rec.minimal_loan}"
-            for rec in records
-        )
-    return EXIT_OK, payload, lines
-
-
-def _cmd_explain(args):
-    spec = solver.validate_spec(args.divisors)
-    code, sol, payload, lines = _solve_fields(spec, args.herd)
-    if sol is None:
-        return code, payload, lines
-    steps = solver.explain(sol)
-    payload["steps"] = steps
-    lines.append("steps:")
-    lines.extend(steps)
-    return code, payload, lines
+    return EXIT_OK, payload
 
 
 _DISPATCH = {
@@ -236,7 +231,7 @@ _DISPATCH = {
     "herds": _cmd_herds,
     "breakdown": _cmd_breakdown,
     "generate": _cmd_generate,
-    "explain": _cmd_explain,
+    "explain": _cmd_solve,
 }
 
 
@@ -249,15 +244,17 @@ def run(argv: list[str] | None = None) -> int:
         if isinstance(exc.code, int):
             return exc.code
         return EXIT_OK if exc.code is None else EXIT_INVALID
+    render = to_json if args.format == "json" else to_text
     try:
-        code, payload, lines = _DISPATCH[args.command](args)
+        code, payload = _DISPATCH[args.command](args)
+        out = render(payload)
     except HerdsplitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    if args.format == "json":
-        sys.stdout.write(to_json(payload))
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+    except Exception as exc:  # a crash must not read as "infeasible"
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    sys.stdout.write(out)
     return code
 
 

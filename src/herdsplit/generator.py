@@ -7,9 +7,8 @@ classic one-borrowed-unit puzzles are exactly those with m - r = 1.
 
 from dataclasses import dataclass
 
-from .arith import lcm_all
 from .errors import BoundsTooLarge, InvalidInput
-from .solver import validate_spec
+from .solver import _m_and_r, validate_spec
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -69,8 +68,7 @@ def enumerate_specs(
 
     def emit():
         divisors = tuple(prefix)
-        m = lcm_all(divisors)
-        r = sum(m // s for s in divisors)
+        m, r = _m_and_r(divisors)
         loan = m - r
         if bounds.max_loan is None or loan <= bounds.max_loan:
             records.append(

@@ -15,13 +15,14 @@ raw entitlements N/s_i leave a leftover of N*(m - r)/m, and the per-heir
 top-ups x/s_i absorb it exactly.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
 from . import _kernels
-from .arith import Rational, lcm_all, rat_sum
+from .arith import Rational, rat_sum
 from .errors import (
     EmptySpec,
     HerdZero,
@@ -38,6 +39,12 @@ class FractionSum:
     m: int  # lcm of the divisors
     r: int  # sum of m // s_i; feasible herds are the positive multiples
     reduced: Rational  # r/m in lowest terms
+
+
+def _m_and_r(divisors: tuple[int, ...]) -> tuple[int, int]:
+    """(m, r) for positive divisors: m = lcm, r = sum(m // s_i)."""
+    m = math.lcm(*divisors)
+    return m, sum(m // s for s in divisors)
 
 
 @dataclass(frozen=True)
@@ -57,14 +64,13 @@ class ShareSpec:
         for s in self.divisors:
             if s < 1:
                 raise NonPositiveDivisor(f"divisor {s} is not a positive integer")
-        total = rat_sum(Fraction(1, s) for s in self.divisors)
-        if total >= 1:
-            raise ShareOverflow(total)
+        fs = self.fraction_sum
+        if fs.r >= fs.m:  # sum(1/s_i) = r/m
+            raise ShareOverflow(fs.reduced)
 
     @cached_property
     def fraction_sum(self) -> FractionSum:
-        m = lcm_all(self.divisors)
-        r = sum(m // s for s in self.divisors)
+        m, r = _m_and_r(self.divisors)
         return FractionSum(m=m, r=r, reduced=Fraction(r, m))
 
     @property
@@ -120,41 +126,50 @@ def fraction_sum(spec: ShareSpec) -> FractionSum:
     return spec.fraction_sum
 
 
-def solve(spec: ShareSpec, herd: int) -> LoanSolution | Infeasible:
-    """Split `herd` per the spec, or diagnose why no loan can work."""
+def _loan(fs: FractionSum, herd: int) -> int | None:
+    """The loan herd/r * (m - r) when r divides `herd`, else None."""
     if herd < 1:
         raise HerdZero(f"herd must be >= 1, got {herd}")
+    if herd % fs.r:
+        return None
+    return herd // fs.r * (fs.m - fs.r)
+
+
+def _solution(spec: ShareSpec, herd: int, augmented: int) -> LoanSolution:
+    """The split of `augmented` = herd + loan, a multiple of every divisor."""
+    return LoanSolution(
+        herd=herd,
+        loan=augmented - herd,
+        augmented=augmented,
+        multiplier=augmented // spec.fraction_sum.m,
+        shares=tuple(augmented // s for s in spec.divisors),
+    )
+
+
+def solve(spec: ShareSpec, herd: int) -> LoanSolution | Infeasible:
+    """Split `herd` per the spec, or diagnose why no loan can work."""
     fs = spec.fraction_sum
-    if herd % fs.r != 0:
-        below = (herd // fs.r) * fs.r
+    loan = _loan(fs, herd)
+    if loan is None:
+        below = herd // fs.r * fs.r
         return Infeasible(
             herd=herd,
             r=fs.r,
             nearest_below=below if below >= fs.r else None,
             nearest_above=below + fs.r,
         )
-    a = herd // fs.r
-    augmented = a * fs.m
-    shares = tuple(augmented // s for s in spec.divisors)
-    return LoanSolution(
-        herd=herd,
-        loan=augmented - herd,
-        augmented=augmented,
-        multiplier=a,
-        shares=shares,
-    )
+    return _solution(spec, herd, herd + loan)
 
 
 def required_loan(spec: ShareSpec, herd: int) -> int:
     """The unique loan for a feasible herd: herd/r * (m - r)."""
-    if herd < 1:
-        raise HerdZero(f"herd must be >= 1, got {herd}")
     fs = spec.fraction_sum
-    if herd % fs.r != 0:
+    loan = _loan(fs, herd)
+    if loan is None:
         raise InfeasibleHerd(
             f"herd {herd} is not a multiple of r = {fs.r}; no loan works"
         )
-    return (herd // fs.r) * (fs.m - fs.r)
+    return loan
 
 
 def feasible_herds(spec: ShareSpec, limit: int) -> list[tuple[int, int]]:
@@ -177,16 +192,10 @@ def fractional_breakdown(spec: ShareSpec, herd: int) -> FractionalBreakdown:
     infeasible, since the leftover only decomposes into loan/s_i terms
     when a loan exists.
     """
-    if herd < 1:
-        raise HerdZero(f"herd must be >= 1, got {herd}")
+    loan = _loan(spec.fraction_sum, herd)
     raw = tuple(Fraction(herd, s) for s in spec.divisors)
     leftover = herd - rat_sum(raw)
-    fs = spec.fraction_sum
-    if herd % fs.r == 0:
-        loan = (herd // fs.r) * (fs.m - fs.r)
-        topups = tuple(Fraction(loan, s) for s in spec.divisors)
-    else:
-        topups = ()
+    topups = () if loan is None else tuple(Fraction(loan, s) for s in spec.divisors)
     return FractionalBreakdown(raw_shares=raw, leftover=leftover, topups=topups)
 
 
@@ -204,15 +213,7 @@ def oracle_solve(
     x = _kernels.scan_first_loan(herd, loan_bound, spec.divisors)
     if x is None:
         return NotFoundWithinBound(herd=herd, bound=loan_bound)
-    augmented = herd + x
-    shares = tuple(augmented // s for s in spec.divisors)
-    return LoanSolution(
-        herd=herd,
-        loan=x,
-        augmented=augmented,
-        multiplier=augmented // spec.fraction_sum.m,
-        shares=shares,
-    )
+    return _solution(spec, herd, herd + x)
 
 
 def explain(solution: LoanSolution) -> list[str]:

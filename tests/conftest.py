@@ -1,3 +1,15 @@
+import os
+
+
+def pytest_configure(config):
+    """Let `python -m herdsplit` subprocesses import the package from src/,
+    as pyproject's `pythonpath` does for this process, installed or not."""
+    src = str(config.rootpath / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Print one pass/fail line per acceptance criterion at the end."""
     results = []

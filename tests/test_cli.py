@@ -5,10 +5,14 @@ import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from herdsplit import cli
 from herdsplit.cli import run, to_json
+
+GOLDEN = Path(__file__).parent / "golden"
 
 SOLVE_17_JSON = """\
 {
@@ -249,6 +253,58 @@ class TestGenerateOutput:
         _, out, _ = invoke(capsys, ["generate", "--heirs", "1",
                                     "--max-divisor", "2"])
         assert "max loan: unbounded" in out
+
+
+# golden file stem -> argv; every one exits 0 and prints the file's bytes
+TEXT_GOLDENS = {
+    "check": ["check", "--divisors", "2,3,9"],
+    "herds_rows": ["herds", "--divisors", "2,3,9", "--limit", "60"],
+    "herds_none": ["herds", "--divisors", "2,3,9", "--limit", "16"],
+    "breakdown_feasible": ["breakdown", "--divisors", "2,3,9", "--herd", "17"],
+    # 18 is not a multiple of r = 17, yet every raw share 18/s is integral
+    "breakdown_infeasible": ["breakdown", "--divisors", "2,3,9", "--herd", "18"],
+    "explain": ["explain", "--divisors", "2,3,9", "--herd", "17"],
+    "generate_unbounded": ["generate", "--heirs", "2", "--max-divisor", "6"],
+    "generate_none": ["generate", "--heirs", "3", "--max-divisor", "3"],
+    "help": ["--help"],
+    **{
+        f"help_{name}": [name, "--help"]
+        for name in ("check", "solve", "herds", "breakdown", "generate", "explain")
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_GOLDENS))
+def test_text_output_matches_golden_bytes(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    code, out, err = invoke(capsys, TEXT_GOLDENS[name])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.txt").read_text()
+    assert err == ""
+
+
+class TestInternalErrors:
+    def test_deep_generate_crash_is_not_read_as_infeasible(self):
+        # 1001 heirs need a DFS deeper than the default recursion limit
+        proc = subprocess.run(
+            [sys.executable, "-m", "herdsplit", "generate", "--heirs", "1001",
+             "--max-divisor", "2000", "--duplicates"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode not in (0, 1)
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+    def test_unexpected_exception_exits_internal(self, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("kaboom")
+
+        monkeypatch.setitem(cli._DISPATCH, "check", boom)
+        code, out, err = invoke(capsys, ["check", "--divisors", "2,3,9"])
+        assert code == cli.EXIT_INTERNAL == 3
+        assert out == ""
+        assert err == "error: internal: RuntimeError: kaboom\n"
 
 
 def test_module_entry_point_matches_in_process_run():

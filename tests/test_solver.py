@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from herdsplit.arith import rat_sum
@@ -78,6 +78,22 @@ class TestValidateSpec:
 
     def test_single_heir_is_permitted(self):
         assert validate_spec((2,)).heirs == 1
+
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=8))
+    @example([1])
+    @example([2, 3, 6])
+    @example([2, 3, 7, 42])
+    @example([2, 3, 7, 43])
+    @settings(max_examples=400)
+    def test_accepts_exactly_the_lists_summing_below_one(self, divisors):
+        total = rat_sum(Fraction(1, s) for s in divisors)
+        if total < 1:
+            assert validate_spec(divisors).fraction_sum.reduced == total
+            return
+        with pytest.raises(ShareOverflow) as excinfo:
+            validate_spec(divisors)
+        assert excinfo.value.total == total
+        assert str(excinfo.value) == str(ShareOverflow(total))
 
 
 class TestFractionSum:
