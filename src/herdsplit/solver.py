@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import _kernels
 from .arith import Rational, rat_sum
@@ -172,11 +172,16 @@ def required_loan(spec: ShareSpec, herd: int) -> int:
     return loan
 
 
-def feasible_herds(spec: ShareSpec, limit: int) -> list[tuple[int, int]]:
-    """All (herd, loan) pairs with herd <= limit, in increasing order."""
+def _herd_rows(spec: ShareSpec, limit: int) -> Iterator[tuple[int, int]]:
+    """The (herd, loan) pairs of `feasible_herds`, computed as they are read."""
     fs = spec.fraction_sum
     per_step_loan = fs.m - fs.r
-    return [(a * fs.r, a * per_step_loan) for a in range(1, limit // fs.r + 1)]
+    return ((a * fs.r, a * per_step_loan) for a in range(1, limit // fs.r + 1))
+
+
+def feasible_herds(spec: ShareSpec, limit: int) -> list[tuple[int, int]]:
+    """All (herd, loan) pairs with herd <= limit, in increasing order."""
+    return list(_herd_rows(spec, limit))
 
 
 def minimal_instance(spec: ShareSpec) -> tuple[int, int]:

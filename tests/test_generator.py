@@ -160,3 +160,18 @@ class TestEnumerate:
             SearchBounds(heirs=3, max_divisor=12), node_budget=10**5
         )
         assert records == brute_force_records(SearchBounds(heirs=3, max_divisor=12))
+
+
+class TestPinnedSearch:
+    """Exact figures of the DFS, so a faster search must keep them."""
+
+    def test_node_count_is_pinned(self):
+        # one node per attempted divisor, both cuts included
+        bounds = SearchBounds(heirs=5, max_divisor=40, max_loan=1)
+        with pytest.raises(BoundsTooLarge):
+            enumerate_specs(bounds, node_budget=662577)
+        assert len(enumerate_specs(bounds, node_budget=662578)) == 170
+
+    def test_four_heirs_with_duplicates_match_brute_force(self):
+        bounds = SearchBounds(heirs=4, max_divisor=30, allow_duplicates=True)
+        assert enumerate_specs(bounds) == brute_force_records(bounds)
