@@ -8,10 +8,6 @@ single object with every integer rendered as a decimal string and every
 rational as a reduced {"num", "den"} pair. Text output lists the same
 object's fields in the same order, one "label: value" line each.
 
-The `herds` rows are computed while they are written, a batch at a time,
-so memory does not grow with `--limit`. Parsing, validation and the first
-row all happen before the first byte, so exit 2 still leaves stdout empty;
-only an internal error in mid-listing can follow part of the output.
 If the reader closes the pipe early (`herdsplit herds ... | head -1`), the
 rest of the output is dropped without a traceback: stdout is pointed at
 os.devnull, as the Python `signal` documentation recommends for SIGPIPE,
@@ -22,9 +18,6 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterator
-from itertools import islice
-from json.encoder import encode_basestring_ascii as _json_str
 
 from . import generator, solver
 from .errors import HerdsplitError
@@ -33,8 +26,6 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INVALID = 2
 EXIT_INTERNAL = 3
-
-_BATCH = 4096  # output chunks (header pieces or rows) joined per write
 
 
 def _divisor_list(text: str) -> tuple[int, ...]:
@@ -93,46 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def to_json(payload: dict) -> str:
     """Canonical JSON rendering; reparsing and re-rendering is byte-stable."""
-    return "".join(_json_chunks(payload))
-
-
-# A streamed block is an iterator in the payload (the `herds` listing). Its
-# rows are tuples of ints, named here, and print as decimal strings like
-# every other integer.
-_ROW_FIELDS = {"herds": ("herd", "loan")}
-
-
-def _json_chunks(payload: dict) -> Iterator[str]:
-    """The bytes of json.dumps(payload, indent=2) + newline, in pieces.
-
-    Each value goes through json.dumps, except a streamed block, which is
-    rendered as the list of its rows, one row at a time.
-    """
-    sep = "{"
-    for key, value in payload.items():
-        yield f"{sep}\n  {_json_str(key)}: "
-        if isinstance(value, Iterator):
-            yield from _json_rows(_ROW_FIELDS[key], value)
-        else:
-            yield json.dumps(value, indent=2).replace("\n", "\n  ")
-        sep = ","
-    yield "{}\n" if sep == "{" else "\n}\n"
-
-
-def _json_rows(fields: tuple[str, ...], rows: Iterator[tuple]) -> Iterator[str]:
-    """Rows of ints as json.dumps renders a list of {field: "int"} objects
-    one level down, from one template."""
-    first = next(rows, None)
-    if first is None:
-        yield "[]"
-        return
-    template = ",\n      ".join(f'{_json_str(field)}: "%d"' for field in fields)
-    template = f"\n    {{\n      {template}\n    }}"
-    yield "[" + template % first
-    template = "," + template
-    for row in rows:
-        yield template % row
-    yield "\n  ]"
+    return json.dumps(payload, indent=2) + "\n"
 
 
 # Text output lists the payload's fields in order as "label: value" lines;
@@ -166,34 +118,26 @@ def _text_value(value) -> str:
 def _text_row(row) -> str:
     if isinstance(row, str):
         return row
-    if isinstance(row, tuple):  # a streamed row of ints
-        return " ".join(map(str, row))
     return " ".join(",".join(v) if isinstance(v, list) else v for v in row.values())
 
 
 def to_text(payload: dict) -> str:
     """Text rendering of the same payload `to_json` renders."""
-    return "".join(_text_chunks(payload))
-
-
-def _text_chunks(payload: dict) -> Iterator[str]:
-    """`to_text` in pieces, one row of a row block at a time."""
+    lines = []
     for key, value in payload.items():
         if key in _BLOCKS:
             header, empty = _BLOCKS[key]
-            rows = map(_text_row, value)
-            first = next(rows, None)
-            if first is not None:
-                yield f"{header}\n{first}\n"
-                for row in rows:
-                    yield row + "\n"
+            if value:
+                lines.append(header)
+                lines.extend(map(_text_row, value))
             elif empty is not None:
-                yield empty + "\n"
+                lines.append(empty)
         elif key == "max_loan" and value is None:
-            yield "max loan: unbounded\n"
+            lines.append("max loan: unbounded")
         else:
             label = _LABELS.get(key, key.replace("_", " "))
-            yield f"{label}: {_text_value(value)}\n"
+            lines.append(f"{label}: {_text_value(value)}")
+    return "\n".join(lines) + "\n"
 
 
 def _frac_json(q) -> dict:
@@ -240,9 +184,10 @@ def _cmd_solve(args):
 
 def _cmd_herds(args):
     spec = solver.validate_spec(args.divisors)
+    rows = solver.feasible_herds(spec, args.limit)
     payload = _spec_fields(spec)
     payload["limit"] = str(args.limit)
-    payload["herds"] = solver._herd_rows(spec, args.limit)
+    payload["herds"] = [{"herd": str(h), "loan": str(x)} for h, x in rows]
     return EXIT_OK, payload
 
 
@@ -305,28 +250,22 @@ def run(argv: list[str] | None = None) -> int:
         if isinstance(exc.code, int):
             return exc.code
         return EXIT_OK if exc.code is None else EXIT_INVALID
-    render = _json_chunks if args.format == "json" else _text_chunks
+    render = to_json if args.format == "json" else to_text
     try:
         code, payload = _DISPATCH[args.command](args)
-        chunks = render(payload)
-        # The first batch spans the payload's head and the first rows, so
-        # every check that can fail runs before anything is written.
-        batch = list(islice(chunks, _BATCH))
-        write = sys.stdout.write  # looked up per call: callers may redirect it
-        while batch:
-            write("".join(batch))
-            batch = list(islice(chunks, _BATCH))
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader is gone; the flush at exit must not raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return code
+        out = render(payload)
     except HerdsplitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:  # a crash must not read as "infeasible"
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    try:
+        sys.stdout.write(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone; the flush at exit must not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -8,7 +8,7 @@ classic one-borrowed-unit puzzles are exactly those with m - r = 1.
 from dataclasses import dataclass
 
 from .errors import BoundsTooLarge, InvalidInput
-from .solver import _m_and_r, validate_spec
+from .solver import _m_and_r_step, validate_spec
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -66,25 +66,22 @@ def enumerate_specs(
     prefix: list[int] = []
     nodes = 0
 
-    def emit():
-        divisors = tuple(prefix)
-        m, r = _m_and_r(divisors)
+    def emit(m: int, r: int):
         loan = m - r
         if bounds.max_loan is None or loan <= bounds.max_loan:
             records.append(
                 PuzzleRecord(
-                    divisors=divisors, r=r, m=m, minimal_herd=r, minimal_loan=loan
+                    divisors=tuple(prefix), r=r, m=m, minimal_herd=r, minimal_loan=loan
                 )
             )
 
-    def extend(lo: int, num: int, den: int):
-        # partial sum carried as the unreduced pair num/den; comparisons
-        # against 1 and against the capacity bound stay exact this way and
-        # cost integer multiplies instead of Fraction normalizations
+    def extend(lo: int, m: int, r: int):
+        # the prefix's (m, r) comes down with it: its partial sum is exactly
+        # r/m, so the cuts compare integers and a leaf costs one step
         nonlocal nodes
         remaining = k - len(prefix)
         if remaining == 0:
-            emit()
+            emit(m, r)
             return
         for s in range(lo, top + 1):
             nodes += 1
@@ -92,18 +89,17 @@ def enumerate_specs(
                 raise BoundsTooLarge(
                     f"enumeration exceeded the node budget of {node_budget}"
                 )
-            new_num = num * s + den
-            new_den = den * s
+            new_m, new_r = _m_and_r_step(m, r, s)
             # Larger s only shrinks the sum, so cuts skip this subtree
             # rather than the whole loop.
-            if new_num >= new_den:
+            if new_r >= new_m:
                 continue
             # remaining - 1 more divisors, each contributing >= 1/top
-            if new_num * top + (remaining - 1) * new_den >= new_den * top:
+            if new_r * top + (remaining - 1) * new_m >= new_m * top:
                 continue
             prefix.append(s)
-            extend(s if bounds.allow_duplicates else s + 1, new_num, new_den)
+            extend(s if bounds.allow_duplicates else s + 1, new_m, new_r)
             prefix.pop()
 
-    extend(2, 0, 1)
+    extend(2, 1, 0)
     return records

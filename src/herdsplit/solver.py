@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import _kernels
 from .arith import Rational, rat_sum
@@ -41,10 +41,21 @@ class FractionSum:
     reduced: Rational  # r/m in lowest terms
 
 
+def _m_and_r_step(m: int, r: int, s: int) -> tuple[int, int]:
+    """(m, r) of a divisor tuple with s appended, from the tuple's (m, r).
+
+    m' = lcm(m, s), and every old term m // s_i scales by m' // m.
+    """
+    grown = math.lcm(m, s)
+    return grown, r * (grown // m) + grown // s
+
+
 def _m_and_r(divisors: tuple[int, ...]) -> tuple[int, int]:
     """(m, r) for positive divisors: m = lcm, r = sum(m // s_i)."""
-    m = math.lcm(*divisors)
-    return m, sum(m // s for s in divisors)
+    m, r = 1, 0
+    for s in divisors:
+        m, r = _m_and_r_step(m, r, s)
+    return m, r
 
 
 @dataclass(frozen=True)
@@ -172,16 +183,11 @@ def required_loan(spec: ShareSpec, herd: int) -> int:
     return loan
 
 
-def _herd_rows(spec: ShareSpec, limit: int) -> Iterator[tuple[int, int]]:
-    """The (herd, loan) pairs of `feasible_herds`, computed as they are read."""
-    fs = spec.fraction_sum
-    per_step_loan = fs.m - fs.r
-    return ((a * fs.r, a * per_step_loan) for a in range(1, limit // fs.r + 1))
-
-
 def feasible_herds(spec: ShareSpec, limit: int) -> list[tuple[int, int]]:
     """All (herd, loan) pairs with herd <= limit, in increasing order."""
-    return list(_herd_rows(spec, limit))
+    fs = spec.fraction_sum
+    per_step_loan = fs.m - fs.r
+    return [(a * fs.r, a * per_step_loan) for a in range(1, limit // fs.r + 1)]
 
 
 def minimal_instance(spec: ShareSpec) -> tuple[int, int]:

@@ -1,7 +1,7 @@
-"""Streamed `herds` output, closed pipes, bounded memory and an argv fuzzer."""
+"""`herds` output against an independent reference, closed pipes and an
+argv fuzzer over the whole CLI grammar."""
 
 import contextlib
-import hashlib
 import io
 import json
 import math
@@ -9,7 +9,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -57,7 +56,7 @@ valid_divisors = st.lists(st.integers(2, 40), min_size=1, max_size=5).filter(
 )
 
 
-class TestStreamedHerds:
+class TestHerdsListing:
     @given(
         valid_divisors,
         st.sampled_from(["r - 1", "r", "r + 1", "k * r"]),
@@ -66,7 +65,7 @@ class TestStreamedHerds:
     )
     @example([2, 3, 9], "k * r", 2, "json")
     @example([2, 3, 9], "r - 1", 0, "text")
-    @example([2], "k * r", 10**4, "json")  # 10^4 rows: more than one write batch
+    @example([2], "k * r", 10**4, "json")
     @settings(max_examples=100, deadline=None)
     def test_matches_the_materialised_reference(self, divisors, at, k, fmt):
         m = math.lcm(*divisors)
@@ -93,22 +92,13 @@ class TestStreamedHerds:
         code, out, err = run_cli(argv)
         assert code == 2 and out == "" and err
 
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_to_json_and_to_text_render_a_streamed_payload(self, fmt):
-        args = cli.build_parser().parse_args(
-            ["herds", "--divisors", "2,3,9", "--limit", "60"]
-        )
-        _, payload = cli._cmd_herds(args)
-        render = cli.to_json if fmt == "json" else cli.to_text
-        assert render(payload) == herds_reference((2, 3, 9), 60, fmt)
-
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_closed_pipe_exits_quietly_with_the_command_code(fmt):
-    # 2e7 / 17 rows are far more than a pipe buffer, so the child is still
-    # writing when the reader goes away
+    # 1e6 / 17 rows are far more than a pipe buffer holds, so the child is
+    # still writing when the reader goes away
     argv = [sys.executable, "-m", "herdsplit", "herds", "--divisors", "2,3,9",
-            "--limit", "20000000", "--format", fmt]
+            "--limit", "1000000", "--format", fmt]
     with subprocess.Popen(argv, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE) as proc:
         head = proc.stdout.read(10)
@@ -133,52 +123,6 @@ def test_reader_gone_before_the_first_write():
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == 0
-
-
-def _reference_json_bytes(limit):
-    """json.dumps(indent=2) of the 2,3,9 listing, built row by row: the head,
-    the row form and the tail are cut from json.dumps of a one-row payload."""
-    payload = {"divisors": ["2", "3", "9"], "r": "17", "m": "18",
-               "limit": str(limit), "herds": [{"herd": "%d", "loan": "%d"}]}
-    one = json.dumps(payload, indent=2) + "\n"
-    start, end = one.index("\n    {"), one.rindex("\n  ]")
-    row = one[start:end]
-    rows = (row % (17 * a, a) for a in range(1, limit // 17 + 1))
-    yield one[:start]
-    sep = ""
-    while batch := list(islice(rows, 10_000)):
-        yield sep + ",".join(batch)
-        sep = ","
-    yield one[end:]
-
-
-# Runs argv and reports its exit code and peak RSS (KB) on stderr. A child
-# that starts from this small process, not from the test process, inherits
-# no large peak into its own ru_maxrss.
-_MEASURE = """
-import os, subprocess, sys
-proc = subprocess.Popen(sys.argv[1:])
-_, status, usage = os.wait4(proc.pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
-"""
-
-
-def test_large_listing_runs_in_bounded_memory():
-    limit = 20_000_000
-    argv = [sys.executable, "-m", "herdsplit", "herds", "--divisors", "2,3,9",
-            "--limit", str(limit), "--format", "json"]
-    with subprocess.Popen([sys.executable, "-c", _MEASURE, *argv],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        out = proc.stdout.read()
-        code, peak_kb = map(int, proc.stderr.read().split())
-    assert code == 0
-    assert peak_kb / 1024 < 64  # MB; the whole listing is 72 MB
-    assert out.count(b'\n      "herd": ') == limit // 17
-    # Equal to json.dumps of the payload it encodes, so it re-serialises.
-    expected = hashlib.sha256()
-    for piece in _reference_json_bytes(limit):
-        expected.update(piece.encode())
-    assert hashlib.sha256(out).hexdigest() == expected.hexdigest()
 
 
 divisor_text = st.lists(st.integers(-1, 40), max_size=5).map(

@@ -1,9 +1,12 @@
 """Puzzle enumeration against a brute-force filter, plus bounds handling."""
 
+import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from herdsplit.arith import lcm_all
 from herdsplit.errors import (
@@ -19,7 +22,7 @@ from herdsplit.generator import (
     canonicalize,
     enumerate_specs,
 )
-from herdsplit.solver import solve, validate_spec
+from herdsplit.solver import _m_and_r, _m_and_r_step, solve, validate_spec
 
 
 def brute_force_records(bounds):
@@ -175,3 +178,13 @@ class TestPinnedSearch:
     def test_four_heirs_with_duplicates_match_brute_force(self):
         bounds = SearchBounds(heirs=4, max_divisor=30, allow_duplicates=True)
         assert enumerate_specs(bounds) == brute_force_records(bounds)
+
+
+@given(st.lists(st.integers(1, 10**6), min_size=1, max_size=8))
+def test_the_step_folds_to_lcm_and_sum(divisors):
+    m, r = 1, 0
+    for s in divisors:
+        m, r = _m_and_r_step(m, r, s)
+    lcm = math.lcm(*divisors)
+    assert (m, r) == (lcm, sum(lcm // s for s in divisors))
+    assert _m_and_r(tuple(divisors)) == (m, r)
