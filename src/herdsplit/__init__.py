@@ -5,7 +5,6 @@ temporarily borrowing just enough units to make every share integral, then
 returning the borrowed units untouched. All arithmetic is exact.
 """
 
-from .arith import Rational, gcd, lcm_all, rat_sum
 from .errors import (
     BoundsTooLarge,
     EmptySpec,
@@ -58,7 +57,6 @@ __all__ = [
     "NonPositiveDivisor",
     "NotFoundWithinBound",
     "PuzzleRecord",
-    "Rational",
     "SearchBounds",
     "ShareOverflow",
     "ShareSpec",
@@ -68,11 +66,8 @@ __all__ = [
     "feasible_herds",
     "fraction_sum",
     "fractional_breakdown",
-    "gcd",
-    "lcm_all",
     "minimal_instance",
     "oracle_solve",
-    "rat_sum",
     "required_loan",
     "solve",
     "validate_spec",

@@ -4,9 +4,10 @@ Exit codes: 0 = success/feasible, 1 = valid input but infeasible herd,
 2 = invalid input (parse or validation error, diagnostic on stderr),
 3 = internal error (one "error: internal: ..." line on stderr, no stdout).
 Results go to stdout only; diagnostics go to stderr only. JSON output is a
-single object with every integer rendered as a decimal string and every
-rational as a reduced {"num", "den"} pair. Text output lists the same
-object's fields in the same order, one "label: value" line each.
+single object; `_json` alone encodes its values (integers as decimal
+strings, rationals as reduced {"num", "den"} pairs), bar the inline `herds`
+rows. Text output lists the same object's fields in the same order, one
+"label: value" line each.
 
 If the reader closes the pipe early (`herdsplit herds ... | head -1`), the
 rest of the output is dropped without a traceback: stdout is pointed at
@@ -15,9 +16,11 @@ and the command keeps its own exit code (0 for `herds`).
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import generator, solver
 from .errors import HerdsplitError
@@ -140,24 +143,32 @@ def to_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _frac_json(q) -> dict:
-    return {"num": str(q.numerator), "den": str(q.denominator)}
+def _json(value):
+    """The one JSON encoding of a result value: a Fraction becomes a reduced
+    {"num", "den"} pair, a tuple a list, an int (not a bool) a decimal string
+    so consumers never overflow; anything else is already JSON."""
+    if isinstance(value, Fraction):
+        return {"num": str(value.numerator), "den": str(value.denominator)}
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    return value
+
+
+def _fields(result) -> dict:
+    """A result dataclass's fields, encoded, in declaration order."""
+    return {f.name: _json(getattr(result, f.name)) for f in dataclasses.fields(result)}
 
 
 def _spec_fields(spec: solver.ShareSpec) -> dict:
     fs = spec.fraction_sum
-    return {
-        "divisors": [str(s) for s in spec.divisors],
-        "r": str(fs.r),
-        "m": str(fs.m),
-    }
+    return {"divisors": _json(spec.divisors), "r": _json(fs.r), "m": _json(fs.m)}
 
 
 def _cmd_check(args):
     spec = solver.validate_spec(args.divisors)
-    payload = _spec_fields(spec)
-    payload["reduced"] = _frac_json(spec.fraction_sum.reduced)
-    return EXIT_OK, payload
+    return EXIT_OK, _spec_fields(spec) | {"reduced": _json(spec.fraction_sum.reduced)}
 
 
 def _cmd_solve(args):
@@ -165,18 +176,12 @@ def _cmd_solve(args):
     spec = solver.validate_spec(args.divisors)
     sol = solver.solve(spec, args.herd)
     payload = _spec_fields(spec)
-    payload["herd"] = str(args.herd)
-    if isinstance(sol, solver.Infeasible):
-        payload["feasible"] = False
-        below = sol.nearest_below
-        payload["nearest_below"] = None if below is None else str(below)
-        payload["nearest_above"] = str(sol.nearest_above)
+    payload["herd"] = _json(args.herd)
+    payload["feasible"] = isinstance(sol, solver.LoanSolution)
+    # herd (and Infeasible's r) repeat with equal values; update keeps their place
+    payload.update(_fields(sol))
+    if not payload["feasible"]:
         return EXIT_INFEASIBLE, payload
-    payload["feasible"] = True
-    payload["loan"] = str(sol.loan)
-    payload["augmented"] = str(sol.augmented)
-    payload["multiplier"] = str(sol.multiplier)
-    payload["shares"] = [str(s) for s in sol.shares]
     if args.command == "explain":
         payload["steps"] = solver.explain(sol)
     return EXIT_OK, payload
@@ -186,7 +191,8 @@ def _cmd_herds(args):
     spec = solver.validate_spec(args.divisors)
     rows = solver.feasible_herds(spec, args.limit)
     payload = _spec_fields(spec)
-    payload["limit"] = str(args.limit)
+    payload["limit"] = _json(args.limit)
+    # str() per value, not _json: listings run to 10^5+ rows, so a call costs time
     payload["herds"] = [{"herd": str(h), "loan": str(x)} for h, x in rows]
     return EXIT_OK, payload
 
@@ -195,12 +201,9 @@ def _cmd_breakdown(args):
     spec = solver.validate_spec(args.divisors)
     bd = solver.fractional_breakdown(spec, args.herd)
     payload = _spec_fields(spec)
-    payload["herd"] = str(args.herd)
+    payload["herd"] = _json(args.herd)
     payload["feasible"] = bool(bd.topups)
-    payload["raw_shares"] = [_frac_json(q) for q in bd.raw_shares]
-    payload["leftover"] = _frac_json(bd.leftover)
-    payload["topups"] = [_frac_json(q) for q in bd.topups]
-    return EXIT_OK, payload
+    return EXIT_OK, payload | _fields(bd)
 
 
 def _cmd_generate(args):
@@ -211,23 +214,11 @@ def _cmd_generate(args):
         allow_duplicates=args.duplicates,
     )
     records = generator.enumerate_specs(bounds)
-    payload = {
-        "heirs": str(bounds.heirs),
-        "max_divisor": str(bounds.max_divisor),
-        "max_loan": None if bounds.max_loan is None else str(bounds.max_loan),
-        "duplicates": bounds.allow_duplicates,
-        "count": str(len(records)),
-        "puzzles": [
-            {
-                "divisors": [str(s) for s in rec.divisors],
-                "r": str(rec.r),
-                "m": str(rec.m),
-                "minimal_herd": str(rec.minimal_herd),
-                "minimal_loan": str(rec.minimal_loan),
-            }
-            for rec in records
-        ],
-    }
+    payload = _fields(bounds)
+    # allow_duplicates, the last field, is "duplicates" on the command line
+    payload["duplicates"] = payload.pop("allow_duplicates")
+    payload["count"] = _json(len(records))
+    payload["puzzles"] = [_fields(rec) for rec in records]
     return EXIT_OK, payload
 
 

@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import Iterable
 
 from . import _kernels
-from .arith import Rational, rat_sum
 from .errors import (
     EmptySpec,
     HerdZero,
@@ -38,7 +37,7 @@ class FractionSum:
 
     m: int  # lcm of the divisors
     r: int  # sum of m // s_i; feasible herds are the positive multiples
-    reduced: Rational  # r/m in lowest terms
+    reduced: Fraction  # r/m in lowest terms
 
 
 def _m_and_r_step(m: int, r: int, s: int) -> tuple[int, int]:
@@ -122,9 +121,9 @@ class NotFoundWithinBound:
 class FractionalBreakdown:
     """Exact fractional view of a division attempt."""
 
-    raw_shares: tuple[Rational, ...]  # herd / s_i
-    leftover: Rational  # herd - sum(raw_shares)
-    topups: tuple[Rational, ...]  # loan / s_i when feasible, else empty
+    raw_shares: tuple[Fraction, ...]  # herd / s_i
+    leftover: Fraction  # herd - sum(raw_shares)
+    topups: tuple[Fraction, ...]  # loan / s_i when feasible, else empty
 
 
 def validate_spec(divisors: Iterable[int]) -> ShareSpec:
@@ -205,7 +204,7 @@ def fractional_breakdown(spec: ShareSpec, herd: int) -> FractionalBreakdown:
     """
     loan = _loan(spec.fraction_sum, herd)
     raw = tuple(Fraction(herd, s) for s in spec.divisors)
-    leftover = herd - rat_sum(raw)
+    leftover = herd - sum(raw)
     topups = () if loan is None else tuple(Fraction(loan, s) for s in spec.divisors)
     return FractionalBreakdown(raw_shares=raw, leftover=leftover, topups=topups)
 

@@ -5,13 +5,13 @@ PASS/FAIL line per criterion at the end of the run.
 """
 
 import json
+import math
 import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from herdsplit.arith import lcm_all, rat_sum
 from herdsplit.cli import run, to_json
 from herdsplit.generator import SearchBounds, enumerate_specs
 from herdsplit.solver import (
@@ -47,7 +47,7 @@ def test_criterion_1_classic_instance():
         assert bd.raw_shares == (Fraction(17, 2), Fraction(17, 3), Fraction(17, 9))
         assert bd.leftover == Fraction(17, 18)
         assert bd.topups == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 9))
-        assert rat_sum(bd.topups) == bd.leftover
+        assert sum(bd.topups, Fraction(0)) == bd.leftover
 
 
 def test_criterion_2_four_heirs_fifty_seven():
@@ -145,7 +145,7 @@ def test_criterion_6_generator_matches_brute_force():
         for divisors in combinations(range(2, 10), 3):
             if sum(Fraction(1, s) for s in divisors) >= 1:
                 continue
-            m = lcm_all(divisors)
+            m = math.lcm(*divisors)
             r = sum(m // s for s in divisors)
             if m - r == 1:
                 brute.append(divisors)

@@ -255,7 +255,7 @@ class TestGenerateOutput:
         assert "max loan: unbounded" in out
 
 
-# golden file stem -> argv; every one exits 0 and prints the file's bytes
+# golden file stem -> argv; each prints the file's bytes
 TEXT_GOLDENS = {
     "check": ["check", "--divisors", "2,3,9"],
     "herds_rows": ["herds", "--divisors", "2,3,9", "--limit", "60"],
@@ -271,14 +271,35 @@ TEXT_GOLDENS = {
         f"help_{name}": [name, "--help"]
         for name in ("check", "solve", "herds", "breakdown", "generate", "explain")
     },
+    # JSON payloads: each pins the key order of its command's fields
+    **{
+        f"{name}_json": [*argv, "--format", "json"]
+        for name, argv in {
+            "check": ["check", "--divisors", "2,3,9"],
+            "solve_feasible": ["solve", "--divisors", "2,3,9", "--herd", "17"],
+            "solve_infeasible": ["solve", "--divisors", "2,3,9", "--herd", "16"],
+            "breakdown_feasible": ["breakdown", "--divisors", "2,3,9", "--herd", "17"],
+            "breakdown_infeasible": ["breakdown", "--divisors", "2,3,9",
+                                     "--herd", "18"],
+            "explain": ["explain", "--divisors", "2,3,9", "--herd", "17"],
+            "generate": ["generate", "--heirs", "3", "--max-divisor", "9",
+                         "--max-loan", "1"],
+            "generate_unbounded": ["generate", "--heirs", "2", "--max-divisor", "6"],
+            "generate_none": ["generate", "--heirs", "3", "--max-divisor", "3"],
+            "herds_rows": ["herds", "--divisors", "2,3,9", "--limit", "60"],
+            "herds_none": ["herds", "--divisors", "2,3,9", "--limit", "16"],
+        }.items()
+    },
 }
+# goldens that exit nonzero; every other one exits 0
+GOLDEN_EXIT = {"solve_infeasible_json": 1}
 
 
 @pytest.mark.parametrize("name", sorted(TEXT_GOLDENS))
 def test_text_output_matches_golden_bytes(capsys, monkeypatch, name):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
     code, out, err = invoke(capsys, TEXT_GOLDENS[name])
-    assert code == 0
+    assert code == GOLDEN_EXIT.get(name, 0)
     assert out == (GOLDEN / f"{name}.txt").read_text()
     assert err == ""
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from herdsplit.arith import lcm_all
 from herdsplit.errors import (
     BoundsTooLarge,
     EmptySpec,
@@ -32,7 +31,7 @@ def brute_force_records(bounds):
     for divisors in pick(range(2, bounds.max_divisor + 1), bounds.heirs):
         if sum(Fraction(1, s) for s in divisors) >= 1:
             continue
-        m = lcm_all(divisors)
+        m = math.lcm(*divisors)
         r = sum(m // s for s in divisors)
         if bounds.max_loan is not None and m - r > bounds.max_loan:
             continue

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from herdsplit.arith import rat_sum
 from herdsplit.errors import (
     EmptySpec,
     HerdZero,
@@ -86,7 +85,7 @@ class TestValidateSpec:
     @example([2, 3, 7, 43])
     @settings(max_examples=400)
     def test_accepts_exactly_the_lists_summing_below_one(self, divisors):
-        total = rat_sum(Fraction(1, s) for s in divisors)
+        total = sum((Fraction(1, s) for s in divisors), Fraction(0))
         if total < 1:
             assert validate_spec(divisors).fraction_sum.reduced == total
             return
@@ -113,7 +112,7 @@ class TestFractionSum:
     @given(spec_divisors())
     def test_reduced_matches_independent_unit_fraction_sum(self, divisors):
         fs = fraction_sum(validate_spec(divisors))
-        assert fs.reduced == rat_sum(Fraction(1, s) for s in divisors)
+        assert fs.reduced == sum((Fraction(1, s) for s in divisors), Fraction(0))
 
     @given(spec_divisors())
     def test_r_stays_below_m(self, divisors):
@@ -286,7 +285,7 @@ class TestFractionalBreakdown:
         assert bd.raw_shares == (Fraction(17, 2), Fraction(17, 3), Fraction(17, 9))
         assert bd.leftover == Fraction(17, 18)
         assert bd.topups == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 9))
-        assert rat_sum(bd.topups) == bd.leftover
+        assert sum(bd.topups, Fraction(0)) == bd.leftover
 
     def test_four_sons_breakdown(self):
         bd = fractional_breakdown(validate_spec(FOUR_SONS), 57)
@@ -297,7 +296,7 @@ class TestFractionalBreakdown:
             Fraction(3, 5),
             Fraction(1, 2),
         )
-        assert rat_sum(bd.topups) == bd.leftover
+        assert sum(bd.topups, Fraction(0)) == bd.leftover
 
     def test_halving_a_pair(self):
         bd = fractional_breakdown(validate_spec((2,)), 2)
@@ -308,7 +307,7 @@ class TestFractionalBreakdown:
     def test_infeasible_herd_still_gets_raw_shares_and_leftover(self):
         bd = fractional_breakdown(validate_spec(CLASSIC), 16)
         assert bd.raw_shares == (Fraction(8), Fraction(16, 3), Fraction(16, 9))
-        assert bd.leftover == 16 - rat_sum(bd.raw_shares)
+        assert bd.leftover == 16 - sum(bd.raw_shares, Fraction(0))
         assert bd.topups == ()
 
     def test_zero_herd_raises(self):
@@ -326,7 +325,7 @@ class TestFractionalBreakdown:
         assert bd.leftover == Fraction(herd * (fs.m - fs.r), fs.m)
         if herd % fs.r == 0:
             sol = solve(spec, herd)
-            assert rat_sum(bd.topups) == bd.leftover
+            assert sum(bd.topups, Fraction(0)) == bd.leftover
             for raw, topup, share in zip(bd.raw_shares, bd.topups, sol.shares):
                 assert raw + topup == share
         else:
