@@ -212,11 +212,12 @@ def fractional_breakdown(spec: ShareSpec, herd: int) -> FractionalBreakdown:
 def oracle_solve(
     spec: ShareSpec, herd: int, loan_bound: int
 ) -> LoanSolution | NotFoundWithinBound:
-    """Brute-force reference: scan x = 0..loan_bound for the first loan
-    that makes every (herd + x)/s_i integral with the shares summing to herd.
+    """Brute-force reference: the first loan x in 0..loan_bound that makes
+    every (herd + x)/s_i integral with the shares summing to herd.
 
-    Independent of the closed form above; agrees with `solve` whenever the
-    true loan lies within the bound.
+    The scan (`_kernels.scan_first_loan`) uses none of the closed form
+    above; it agrees with `solve` whenever the true loan lies within the
+    bound.
     """
     if herd < 1:
         raise HerdZero(f"herd must be >= 1, got {herd}")

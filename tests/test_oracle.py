@@ -16,22 +16,10 @@ from herdsplit.solver import (
     validate_spec,
 )
 
+from scan_reference import exhaustive_hits
+
 CLASSIC = (2, 3, 9)
 QUARTET = (3, 6, 9, 12)
-
-
-def exhaustive_hits(divisors, herd, bound):
-    """All loans in 0..bound that work, found by plain big-int scanning.
-
-    Deliberately reimplements the scan so that the packaged kernels are
-    checked against something that shares no code with them.
-    """
-    hits = []
-    for x in range(bound + 1):
-        t = herd + x
-        if all(t % s == 0 for s in divisors) and sum(t // s for s in divisors) == herd:
-            hits.append(x)
-    return hits
 
 
 class TestOracleExamples:
