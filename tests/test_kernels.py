@@ -74,22 +74,43 @@ class TestBackendAgreement:
                     assert scan_first_loan(herd, bound, divisors) == expected
 
 
-def test_known_loans_are_found():
-    assert scan_first_loan(17, 180, (2, 3, 9)) == 1
-    assert scan_first_loan(25, 360, (3, 6, 9, 12)) == 11
-    assert scan_first_loan(16, 180, (2, 3, 9)) is None
-    assert scan_first_loan(4, 10, (2,)) == 4
-    assert scan_first_loan(4, 4, (2,)) == 4  # the bound is inclusive
-    assert scan_first_loan(4, 3, (2,)) is None
+class TestChunking:
+    """Hits late in the window, no hit at all, and a hit on the bound itself."""
+
+    def test_hits_beyond_the_first_chunk_are_found(self):
+        # the loan is 11, several strides past the first candidate
+        assert scan_first_loan(25, 360, (3, 6, 9, 12)) == 11
+
+    def test_no_hit_scans_every_chunk(self):
+        assert scan_first_loan(16, 180, (2, 3, 9)) is None
+
+    def test_chunk_edges_are_inclusive(self):
+        assert scan_first_loan(4, 4, (2,)) == 4  # the bound is inclusive
+        assert scan_first_loan(4, 3, (2,)) is None
 
 
 class TestOverflowGuard:
+    """Values past int64 are scanned on exact ints, with no separate path."""
+
+    def test_huge_herd_routes_to_python(self):
+        herd = 10**30  # far beyond int64
+        assert scan_first_loan(herd, 100, (2, 3, 9)) == first_hit((2, 3, 9), herd, 100)
+        assert scan_first_loan(2**61, 2**61, (1,)) == 0
+        assert scan_first_loan(2**61, 2**61, (1, 2)) is None
+
     def test_huge_values_still_scan_exactly(self):
         herd = 10**30  # far beyond int64
         assert scan_first_loan(herd, 200, (2, 3, 9)) is None
         assert scan_first_loan(2**62, 10, (2,)) is None
-        assert scan_first_loan(-(10**30), 5, (2,)) is None
         assert scan_first_loan(6 * 2**62, 10, (2, 3, 6)) == 0
+
+    def test_huge_negative_herd_routes_to_python(self):
+        assert scan_first_loan(-(10**30), 5, (2,)) is None
+        assert scan_first_loan(-(10**30), 5, (2,)) == first_hit((2,), -(10**30), 5)
+
+    def test_python_backend_finds_hits(self):
+        assert scan_first_loan(4, 10, (2,)) == 4
+        assert scan_first_loan(17, 180, (2, 3, 9)) == 1
 
 
 def test_negative_bound_finds_nothing():
