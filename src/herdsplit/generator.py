@@ -53,11 +53,11 @@ def enumerate_specs(
 ) -> list[PuzzleRecord]:
     """Every canonical tuple inside `bounds`, exactly once, in lex order.
 
-    Depth-first search over nondecreasing tuples. A placement is cut when
-    the partial sum already reaches 1, or when the remaining slots must
-    push it there anyway (each later divisor is at most max_divisor, so it
-    contributes at least 1/max_divisor). Each attempted placement costs one
-    node against the budget; exceeding the budget raises rather than
+    Depth-first search over nondecreasing tuples. A prefix's partial sum
+    only shrinks as its next divisor grows, so the divisors that fit the
+    next slot form one closed-form span, up to max_divisor. Each admissible
+    placement costs one node against the budget; a whole span is charged
+    before it is walked, and exceeding the budget raises rather than
     silently truncating.
     """
     k = bounds.heirs
@@ -66,40 +66,36 @@ def enumerate_specs(
     prefix: list[int] = []
     nodes = 0
 
-    def emit(m: int, r: int):
-        loan = m - r
-        if bounds.max_loan is None or loan <= bounds.max_loan:
-            records.append(
-                PuzzleRecord(
-                    divisors=tuple(prefix), r=r, m=m, minimal_herd=r, minimal_loan=loan
-                )
-            )
-
     def extend(lo: int, m: int, r: int):
-        # the prefix's (m, r) comes down with it: its partial sum is exactly
-        # r/m, so the cuts compare integers and a leaf costs one step
+        # The prefix's sum is exactly r/m, and each of the remaining - 1
+        # later divisors adds at least 1/top, so s fits iff s*room > m*top.
+        # The fitting s form one span, charged whole before it is walked.
         nonlocal nodes
         remaining = k - len(prefix)
-        if remaining == 0:
-            emit(m, r)
-            return
-        for s in range(lo, top + 1):
-            nodes += 1
-            if nodes > node_budget:
-                raise BoundsTooLarge(
-                    f"enumeration exceeded the node budget of {node_budget}"
-                )
+        room = top * (m - r) - (remaining - 1) * m
+        span = range(max(lo, m * top // room + 1) if room > 0 else top + 1, top + 1)
+        nodes += len(span)
+        if nodes > node_budget:
+            raise BoundsTooLarge(
+                f"enumeration exceeded the node budget of {node_budget}"
+            )
+        for s in span:
             new_m, new_r = _m_and_r_step(m, r, s)
-            # Larger s only shrinks the sum, so cuts skip this subtree
-            # rather than the whole loop.
-            if new_r >= new_m:
-                continue
-            # remaining - 1 more divisors, each contributing >= 1/top
-            if new_r * top + (remaining - 1) * new_m >= new_m * top:
-                continue
-            prefix.append(s)
-            extend(s if bounds.allow_duplicates else s + 1, new_m, new_r)
-            prefix.pop()
+            loan = new_m - new_r
+            if remaining > 1:
+                prefix.append(s)
+                extend(s if bounds.allow_duplicates else s + 1, new_m, new_r)
+                prefix.pop()
+            elif bounds.max_loan is None or loan <= bounds.max_loan:
+                records.append(
+                    PuzzleRecord(
+                        divisors=(*prefix, s),
+                        r=new_r,
+                        m=new_m,
+                        minimal_herd=new_r,
+                        minimal_loan=loan,
+                    )
+                )
 
     extend(2, 1, 0)
     return records

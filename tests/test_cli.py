@@ -317,6 +317,19 @@ class TestInternalErrors:
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
+    def test_oversized_generate_exits_two_before_any_output(self):
+        # the first slot alone would place 10**12 - 1 divisors
+        proc = subprocess.run(
+            [sys.executable, "-m", "herdsplit", "generate", "--heirs", "1",
+             "--max-divisor", "1000000000000"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "node budget" in proc.stderr
+
     def test_unexpected_exception_exits_internal(self, capsys, monkeypatch):
         def boom(args):
             raise RuntimeError("kaboom")

@@ -43,6 +43,17 @@ def brute_force_records(bounds):
     return out
 
 
+def brute_force_node_count(bounds):
+    """Count the admissible prefixes directly: one node per placement."""
+    pick = combinations_with_replacement if bounds.allow_duplicates else combinations
+    k, top = bounds.heirs, bounds.max_divisor
+    return sum(
+        sum(Fraction(1, s) for s in prefix) + Fraction(k - len(prefix), top) < 1
+        for length in range(1, k + 1)
+        for prefix in pick(range(2, top + 1), length)
+    )
+
+
 class TestCanonicalize:
     def test_sorts(self):
         assert canonicalize((9, 2, 3)) == (2, 3, 9)
@@ -124,8 +135,8 @@ class TestEnumerate:
         ]
 
     @pytest.mark.parametrize("heirs", [1, 2, 3, 4])
-    @pytest.mark.parametrize("max_divisor", [2, 5, 9, 12])
-    @pytest.mark.parametrize("max_loan", [None, 0, 1, 11])
+    @pytest.mark.parametrize("max_divisor", [2, 3, 5, 9, 12, 16])
+    @pytest.mark.parametrize("max_loan", [None, 0, 1, 3, 11])
     @pytest.mark.parametrize("allow_duplicates", [False, True])
     def test_matches_brute_force(self, heirs, max_divisor, max_loan, allow_duplicates):
         bounds = SearchBounds(
@@ -157,6 +168,34 @@ class TestEnumerate:
         with pytest.raises(BoundsTooLarge):
             enumerate_specs(SearchBounds(heirs=3, max_divisor=12), node_budget=5)
 
+    @pytest.mark.parametrize("heirs", [1, 2, 3, 4])
+    @pytest.mark.parametrize("max_divisor", [2, 3, 5, 9, 12, 16])
+    @pytest.mark.parametrize("allow_duplicates", [False, True])
+    def test_budget_is_the_admissible_placement_count(
+        self, heirs, max_divisor, allow_duplicates
+    ):
+        bounds = SearchBounds(
+            heirs=heirs, max_divisor=max_divisor, allow_duplicates=allow_duplicates
+        )
+        n = brute_force_node_count(bounds)
+        assert enumerate_specs(bounds, node_budget=n) == brute_force_records(bounds)
+        if n:
+            with pytest.raises(BoundsTooLarge):
+                enumerate_specs(bounds, node_budget=n - 1)
+
+    def test_oversized_span_raises_before_placing_anything(self, monkeypatch):
+        calls = 0
+
+        def counting_step(m, r, s):
+            nonlocal calls
+            calls += 1
+            return _m_and_r_step(m, r, s)
+
+        monkeypatch.setattr("herdsplit.generator._m_and_r_step", counting_step)
+        with pytest.raises(BoundsTooLarge):
+            enumerate_specs(SearchBounds(heirs=1, max_divisor=10**12), node_budget=1000)
+        assert calls == 0
+
     def test_generous_budget_is_enough(self):
         records = enumerate_specs(
             SearchBounds(heirs=3, max_divisor=12), node_budget=10**5
@@ -168,11 +207,11 @@ class TestPinnedSearch:
     """Exact figures of the DFS, so a faster search must keep them."""
 
     def test_node_count_is_pinned(self):
-        # one node per attempted divisor, both cuts included
+        # one node per admissible placement
         bounds = SearchBounds(heirs=5, max_divisor=40, max_loan=1)
         with pytest.raises(BoundsTooLarge):
-            enumerate_specs(bounds, node_budget=662577)
-        assert len(enumerate_specs(bounds, node_budget=662578)) == 170
+            enumerate_specs(bounds, node_budget=661863)
+        assert len(enumerate_specs(bounds, node_budget=661864)) == 170
 
     def test_four_heirs_with_duplicates_match_brute_force(self):
         bounds = SearchBounds(heirs=4, max_divisor=30, allow_duplicates=True)
