@@ -217,7 +217,11 @@ def oracle_solve(
 
     The scan (`_kernels.scan_first_loan`) uses none of the closed form
     above; it agrees with `solve` whenever the true loan lies within the
-    bound.
+    bound. It jumps over the strides whose share total provably stays
+    below the herd (one stride of max(s_i) adds at most
+    sum(ceil(max(s_i) / s_i)) to the total), so a far loan costs
+    O(log herd) totals plus at most one lcm-period of strides, not
+    loan / max(s_i) strides.
     """
     if herd < 1:
         raise HerdZero(f"herd must be >= 1, got {herd}")

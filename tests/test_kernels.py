@@ -60,6 +60,22 @@ def test_strided_scan_matches_the_unit_step_scan(divisors, herd, bound):
     assert scan_first_loan(herd, bound, divisors) == first_hit(divisors, herd, bound)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(SPECIAL_DIVISORS),
+        st.lists(st.integers(1, 15), min_size=1, max_size=4).map(tuple),
+    ),
+    st.integers(-60, 5000),
+    st.integers(0, 5000),
+)
+@example((7, 8), 690, 2055)  # a `most` taken with floor instead of ceil jumps past the hit
+@example((2,), 5000, 5000)
+@example((1, 2), 4000, 5000)
+def test_the_skip_over_hundreds_of_strides_matches_the_unit_step_scan(divisors, herd, bound):
+    assert scan_first_loan(herd, bound, divisors) == first_hit(divisors, herd, bound)
+
+
 @pytest.mark.parametrize("divisors, herd, bound", CASES)
 def test_examples_match_the_unit_step_scan(divisors, herd, bound):
     assert scan_first_loan(herd, bound, divisors) == first_hit(divisors, herd, bound)
@@ -125,6 +141,12 @@ def test_a_huge_bound_stops_at_the_first_total_past_the_herd():
     assert scan_first_loan(3, 10**18, (1, 2)) is None
 
 
+def test_a_far_hit_is_reached_by_skipping_strides():
+    # The hit is ~10**14 strides of 9 past the herd: far past any walk.
+    assert scan_first_loan(17 * 10**15, 10**16, (2, 3, 9)) == 10**15
+    assert scan_first_loan(17 * 10**15 + 1, 10**16, (2, 3, 9)) is None
+
+
 def test_a_total_below_the_window_is_no_hit():
     for herd in (2, 3, 6):  # (1, 2) splits t = 2 into total 3 < t
         assert first_hit((1, 2), herd, 4) is None
@@ -173,4 +195,9 @@ def test_the_scan_shares_nothing_with_the_closed_form():
         for field in ("id", "attr", "name", "arg")
         if hasattr(node, field)
     }
-    assert not names & {"lcm", "gcd", "fraction_sum", "_m_and_r", "math", "herdsplit"}
+    banned = {"lcm", "gcd", "fraction_sum", "_m_and_r", "math", "herdsplit", "float"}
+    assert not names & banned
+    # A float estimate of sum(1/s_i) would be the closed form in disguise.
+    nodes = list(ast.walk(tree))
+    assert not [n for n in nodes if isinstance(n, ast.Div)]
+    assert not [n for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, float)]

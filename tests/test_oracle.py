@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from herdsplit.errors import HerdZero
@@ -106,3 +106,26 @@ def test_oracle_matches_the_independent_exhaustive_scan(divisors, herd):
         assert scanned.loan == hits[0]
     else:
         assert scanned == NotFoundWithinBound(herd=herd, bound=bound)
+
+
+def specs_up_to_60():
+    return (
+        st.lists(st.integers(2, 60), min_size=1, max_size=5)
+        .filter(lambda ds: sum(Fraction(1, s) for s in ds) < 1)
+        .map(validate_spec)
+        .filter(lambda spec: spec.fraction_sum.m <= 10**5)
+    )
+
+
+@given(specs_up_to_60(), st.integers(1, 10**12), st.data())
+@settings(max_examples=300, deadline=None)
+def test_oracle_and_solver_agree_on_multipliers_up_to_a_trillion(spec, a, data):
+    r = spec.fraction_sum.r
+    formula = solve(spec, a * r)
+    assert oracle_solve(spec, a * r, formula.loan) == formula
+    assume(r > 1)
+    herd = a * r + data.draw(st.integers(1, r - 1), label="j")
+    assert isinstance(solve(spec, herd), Infeasible)
+    assert oracle_solve(spec, herd, formula.loan) == NotFoundWithinBound(
+        herd=herd, bound=formula.loan
+    )
