@@ -10,7 +10,6 @@ from .errors import (
     EmptySpec,
     HerdsplitError,
     HerdZero,
-    InfeasibleHerd,
     InvalidInput,
     NonPositiveDivisor,
     ShareOverflow,
@@ -19,7 +18,6 @@ from .generator import (
     DEFAULT_NODE_BUDGET,
     PuzzleRecord,
     SearchBounds,
-    canonicalize,
     enumerate_specs,
 )
 from .solver import (
@@ -33,9 +31,7 @@ from .solver import (
     feasible_herds,
     fraction_sum,
     fractional_breakdown,
-    minimal_instance,
     oracle_solve,
-    required_loan,
     solve,
     validate_spec,
 )
@@ -51,7 +47,6 @@ __all__ = [
     "HerdZero",
     "HerdsplitError",
     "Infeasible",
-    "InfeasibleHerd",
     "InvalidInput",
     "LoanSolution",
     "NonPositiveDivisor",
@@ -60,15 +55,12 @@ __all__ = [
     "SearchBounds",
     "ShareOverflow",
     "ShareSpec",
-    "canonicalize",
     "enumerate_specs",
     "explain",
     "feasible_herds",
     "fraction_sum",
     "fractional_breakdown",
-    "minimal_instance",
     "oracle_solve",
-    "required_loan",
     "solve",
     "validate_spec",
 ]

@@ -238,9 +238,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already wrote its diagnostic
-        if isinstance(exc.code, int):
-            return exc.code
-        return EXIT_OK if exc.code is None else EXIT_INVALID
+        return exc.code  # 0 after --help, 2 after a usage error
     render = to_json if args.format == "json" else to_text
     try:
         code, payload = _DISPATCH[args.command](args)

@@ -38,9 +38,5 @@ class HerdZero(InvalidInput):
     """Herd size must be at least 1."""
 
 
-class InfeasibleHerd(HerdsplitError):
-    """The herd size is not a multiple of r, so no loan can work."""
-
-
 class BoundsTooLarge(HerdsplitError):
     """An enumeration exceeded its node budget."""

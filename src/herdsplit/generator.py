@@ -8,7 +8,7 @@ classic one-borrowed-unit puzzles are exactly those with m - r = 1.
 from dataclasses import dataclass
 
 from .errors import BoundsTooLarge, InvalidInput
-from .solver import _m_and_r_step, validate_spec
+from .solver import _m_and_r_step
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -40,12 +40,6 @@ class PuzzleRecord:
     m: int
     minimal_herd: int  # == r
     minimal_loan: int  # == m - r, always >= 1
-
-
-def canonicalize(divisors) -> tuple[int, ...]:
-    """Nondecreasing form of a valid divisor list; idempotent."""
-    spec = validate_spec(divisors)
-    return tuple(sorted(spec.divisors))
 
 
 def enumerate_specs(

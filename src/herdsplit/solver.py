@@ -22,13 +22,7 @@ from functools import cached_property
 from typing import Iterable
 
 from . import _kernels
-from .errors import (
-    EmptySpec,
-    HerdZero,
-    InfeasibleHerd,
-    NonPositiveDivisor,
-    ShareOverflow,
-)
+from .errors import EmptySpec, HerdZero, NonPositiveDivisor, ShareOverflow
 
 
 @dataclass(frozen=True)
@@ -82,10 +76,6 @@ class ShareSpec:
     def fraction_sum(self) -> FractionSum:
         m, r = _m_and_r(self.divisors)
         return FractionSum(m=m, r=r, reduced=Fraction(r, m))
-
-    @property
-    def heirs(self) -> int:
-        return len(self.divisors)
 
 
 @dataclass(frozen=True)
@@ -171,28 +161,11 @@ def solve(spec: ShareSpec, herd: int) -> LoanSolution | Infeasible:
     return _solution(spec, herd, herd + loan)
 
 
-def required_loan(spec: ShareSpec, herd: int) -> int:
-    """The unique loan for a feasible herd: herd/r * (m - r)."""
-    fs = spec.fraction_sum
-    loan = _loan(fs, herd)
-    if loan is None:
-        raise InfeasibleHerd(
-            f"herd {herd} is not a multiple of r = {fs.r}; no loan works"
-        )
-    return loan
-
-
 def feasible_herds(spec: ShareSpec, limit: int) -> list[tuple[int, int]]:
     """All (herd, loan) pairs with herd <= limit, in increasing order."""
     fs = spec.fraction_sum
     per_step_loan = fs.m - fs.r
     return [(a * fs.r, a * per_step_loan) for a in range(1, limit // fs.r + 1)]
-
-
-def minimal_instance(spec: ShareSpec) -> tuple[int, int]:
-    """The smallest feasible herd and its loan: (r, m - r)."""
-    fs = spec.fraction_sum
-    return (fs.r, fs.m - fs.r)
 
 
 def fractional_breakdown(spec: ShareSpec, herd: int) -> FractionalBreakdown:

@@ -8,19 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from herdsplit.errors import (
-    BoundsTooLarge,
-    EmptySpec,
-    InvalidInput,
-    NonPositiveDivisor,
-    ShareOverflow,
-)
-from herdsplit.generator import (
-    PuzzleRecord,
-    SearchBounds,
-    canonicalize,
-    enumerate_specs,
-)
+from herdsplit.errors import BoundsTooLarge, InvalidInput
+from herdsplit.generator import PuzzleRecord, SearchBounds, enumerate_specs
 from herdsplit.solver import _m_and_r, _m_and_r_step, solve, validate_spec
 
 
@@ -52,25 +41,6 @@ def brute_force_node_count(bounds):
         for length in range(1, k + 1)
         for prefix in pick(range(2, top + 1), length)
     )
-
-
-class TestCanonicalize:
-    def test_sorts(self):
-        assert canonicalize((9, 2, 3)) == (2, 3, 9)
-
-    def test_idempotent(self):
-        assert canonicalize((2, 3, 9)) == (2, 3, 9)
-
-    def test_keeps_duplicates(self):
-        assert canonicalize((4, 4, 3)) == (3, 4, 4)
-
-    def test_propagates_validation_errors(self):
-        with pytest.raises(EmptySpec):
-            canonicalize(())
-        with pytest.raises(NonPositiveDivisor):
-            canonicalize((2, 0, 5))
-        with pytest.raises(ShareOverflow):
-            canonicalize((2, 3, 6))
 
 
 class TestSearchBounds:

@@ -81,7 +81,9 @@ def test_examples_match_the_unit_step_scan(divisors, herd, bound):
     assert scan_first_loan(herd, bound, divisors) == first_hit(divisors, herd, bound)
 
 
-class TestBackendAgreement:
+class TestSmallGrid:
+    """Every herd 1..39 at four bounds on four small tuples, unit step agreeing."""
+
     def test_exhaustive_small_grid(self):
         for divisors in [(2,), (2, 3), (2, 4), (3, 3)]:
             for herd in range(1, 40):
@@ -90,25 +92,29 @@ class TestBackendAgreement:
                     assert scan_first_loan(herd, bound, divisors) == expected
 
 
-class TestChunking:
-    """Hits late in the window, no hit at all, and a hit on the bound itself."""
+class TestKnownAnswers:
+    """Known loans, a late hit, no hit at all, and a hit on the bound itself."""
 
-    def test_hits_beyond_the_first_chunk_are_found(self):
+    def test_known_loans_are_found(self):
+        assert scan_first_loan(4, 10, (2,)) == 4
+        assert scan_first_loan(17, 180, (2, 3, 9)) == 1
+
+    def test_a_late_hit_is_found(self):
         # the loan is 11, several strides past the first candidate
         assert scan_first_loan(25, 360, (3, 6, 9, 12)) == 11
 
-    def test_no_hit_scans_every_chunk(self):
+    def test_no_hit_returns_none(self):
         assert scan_first_loan(16, 180, (2, 3, 9)) is None
 
-    def test_chunk_edges_are_inclusive(self):
-        assert scan_first_loan(4, 4, (2,)) == 4  # the bound is inclusive
+    def test_the_bound_is_inclusive(self):
+        assert scan_first_loan(4, 4, (2,)) == 4
         assert scan_first_loan(4, 3, (2,)) is None
 
 
-class TestOverflowGuard:
-    """Values past int64 are scanned on exact ints, with no separate path."""
+class TestHugeValues:
+    """Values near and past 2**63 are scanned on exact ints, with no separate path."""
 
-    def test_huge_herd_routes_to_python(self):
+    def test_a_huge_herd_matches_the_unit_step_scan(self):
         herd = 10**30  # far beyond int64
         assert scan_first_loan(herd, 100, (2, 3, 9)) == first_hit((2, 3, 9), herd, 100)
         assert scan_first_loan(2**61, 2**61, (1,)) == 0
@@ -120,13 +126,9 @@ class TestOverflowGuard:
         assert scan_first_loan(2**62, 10, (2,)) is None
         assert scan_first_loan(6 * 2**62, 10, (2, 3, 6)) == 0
 
-    def test_huge_negative_herd_routes_to_python(self):
+    def test_a_huge_negative_herd_finds_nothing(self):
         assert scan_first_loan(-(10**30), 5, (2,)) is None
         assert scan_first_loan(-(10**30), 5, (2,)) == first_hit((2,), -(10**30), 5)
-
-    def test_python_backend_finds_hits(self):
-        assert scan_first_loan(4, 10, (2,)) == 4
-        assert scan_first_loan(17, 180, (2, 3, 9)) == 1
 
 
 def test_negative_bound_finds_nothing():

@@ -6,13 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from herdsplit.errors import (
-    EmptySpec,
-    HerdZero,
-    InfeasibleHerd,
-    NonPositiveDivisor,
-    ShareOverflow,
-)
+from herdsplit.errors import EmptySpec, HerdZero, NonPositiveDivisor, ShareOverflow
 from herdsplit.solver import (
     Infeasible,
     LoanSolution,
@@ -20,8 +14,6 @@ from herdsplit.solver import (
     feasible_herds,
     fraction_sum,
     fractional_breakdown,
-    minimal_instance,
-    required_loan,
     solve,
     validate_spec,
 )
@@ -76,7 +68,7 @@ class TestValidateSpec:
         assert spec.divisors == (4, 4, 3)
 
     def test_single_heir_is_permitted(self):
-        assert validate_spec((2,)).heirs == 1
+        assert validate_spec((2,)).divisors == (2,)
 
     @given(st.lists(st.integers(1, 40), min_size=1, max_size=8))
     @example([1])
@@ -141,6 +133,8 @@ class TestSolve:
             (CLASSIC, 17, 1, (9, 6, 2)),
             (FOUR_SONS, 57, 3, (20, 15, 12, 10)),
             (QUARTET, 50, 22, (24, 12, 8, 6)),
+            (QUARTET, 25, 11, (12, 6, 4, 3)),
+            (CLASSIC, 34, 2, (18, 12, 4)),
         ],
     )
     def test_feasible_examples(self, divisors, herd, loan, shares):
@@ -217,27 +211,6 @@ def test_order_equivariance(spec_perm):
     assert bd_b.leftover == bd_a.leftover
 
 
-class TestRequiredLoan:
-    @pytest.mark.parametrize(
-        "divisors, herd, loan",
-        [
-            (CLASSIC, 17, 1),
-            (QUARTET, 50, 22),
-            (CLASSIC, 34, 2),
-        ],
-    )
-    def test_examples(self, divisors, herd, loan):
-        assert required_loan(validate_spec(divisors), herd) == loan
-
-    def test_infeasible_herd_raises(self):
-        with pytest.raises(InfeasibleHerd):
-            required_loan(validate_spec(CLASSIC), 16)
-
-    def test_zero_herd_raises(self):
-        with pytest.raises(HerdZero):
-            required_loan(validate_spec(CLASSIC), 0)
-
-
 class TestFeasibleHerds:
     @pytest.mark.parametrize(
         "divisors, limit, expected",
@@ -257,25 +230,14 @@ class TestFeasibleHerds:
 
 
 class TestMinimalInstance:
-    @pytest.mark.parametrize(
-        "divisors, expected",
-        [
-            (CLASSIC, (17, 1)),
-            (FOUR_SONS, (57, 3)),
-            (QUARTET, (25, 11)),
-        ],
-    )
-    def test_examples(self, divisors, expected):
-        assert minimal_instance(validate_spec(divisors)) == expected
-
     @given(spec_divisors())
     def test_shares_at_the_minimum_are_m_over_each_divisor(self, divisors):
         spec = validate_spec(divisors)
         fs = spec.fraction_sum
-        herd, loan = minimal_instance(spec)
-        assert (herd, loan) == (fs.r, fs.m - fs.r)
+        herd, loan = fs.r, fs.m - fs.r
         assert loan >= 1
         sol = solve(spec, herd)
+        assert sol.loan == loan
         assert sol.shares == tuple(fs.m // s for s in divisors)
 
 
