@@ -47,49 +47,52 @@ def enumerate_specs(
 ) -> list[PuzzleRecord]:
     """Every canonical tuple inside `bounds`, exactly once, in lex order.
 
-    Depth-first search over nondecreasing tuples. A prefix's partial sum
-    only shrinks as its next divisor grows, so the divisors that fit the
-    next slot form one closed-form span, up to max_divisor. Each admissible
-    placement costs one node against the budget; a whole span is charged
-    before it is walked, and exceeding the budget raises rather than
-    silently truncating.
+    Depth-first search over nondecreasing tuples, in one loop. The divisors
+    that fit a slot form one closed-form span up to max_divisor, and a
+    backtrack moves the deepest slot on to its span's next divisor. Each
+    admissible placement is one node; a span is charged whole when its slot
+    opens, and exceeding the budget raises rather than truncating.
     """
-    k = bounds.heirs
     top = bounds.max_divisor
     records: list[PuzzleRecord] = []
     prefix: list[int] = []
+    sums: list[tuple[int, int]] = []  # sums[i] is the exact (m, r) of prefix[:i]
+    m, r = 1, 0  # the exact (m, r) of the whole prefix
     nodes = 0
-
-    def extend(lo: int, m: int, r: int):
+    s = 2  # the least divisor the opening slot may take
+    while True:
         # The prefix's sum is exactly r/m, and each of the remaining - 1
         # later divisors adds at least 1/top, so s fits iff s*room > m*top.
-        # The fitting s form one span, charged whole before it is walked.
-        nonlocal nodes
-        remaining = k - len(prefix)
+        remaining = bounds.heirs - len(prefix)
         room = top * (m - r) - (remaining - 1) * m
-        span = range(max(lo, m * top // room + 1) if room > 0 else top + 1, top + 1)
-        nodes += len(span)
+        s = max(s, m * top // room + 1) if room > 0 else top + 1
+        nodes += max(top + 1 - s, 0)
         if nodes > node_budget:
             raise BoundsTooLarge(
                 f"enumeration exceeded the node budget of {node_budget}"
             )
-        for s in span:
-            new_m, new_r = _m_and_r_step(m, r, s)
-            loan = new_m - new_r
-            if remaining > 1:
-                prefix.append(s)
-                extend(s if bounds.allow_duplicates else s + 1, new_m, new_r)
-                prefix.pop()
-            elif bounds.max_loan is None or loan <= bounds.max_loan:
-                records.append(
-                    PuzzleRecord(
-                        divisors=(*prefix, s),
-                        r=new_r,
-                        m=new_m,
-                        minimal_herd=new_r,
-                        minimal_loan=loan,
+        if remaining == 1:
+            for s in range(s, top + 1):
+                new_m, new_r = _m_and_r_step(m, r, s)
+                loan = new_m - new_r
+                if bounds.max_loan is None or loan <= bounds.max_loan:
+                    records.append(
+                        PuzzleRecord(
+                            divisors=(*prefix, s),
+                            r=new_r,
+                            m=new_m,
+                            minimal_herd=new_r,
+                            minimal_loan=loan,
+                        )
                     )
-                )
-
-    extend(2, 1, 0)
-    return records
+            s = top + 1
+        while s > top:
+            if not prefix:
+                return records
+            s = prefix.pop() + 1
+            m, r = sums.pop()
+        prefix.append(s)
+        sums.append((m, r))
+        m, r = _m_and_r_step(m, r, s)
+        if not bounds.allow_duplicates:
+            s += 1

@@ -305,17 +305,23 @@ def test_text_output_matches_golden_bytes(capsys, monkeypatch, name):
 
 
 class TestInternalErrors:
-    def test_deep_generate_crash_is_not_read_as_infeasible(self):
-        # 1001 heirs need a DFS deeper than the default recursion limit
-        proc = subprocess.run(
-            [sys.executable, "-m", "herdsplit", "generate", "--heirs", "1001",
-             "--max-divisor", "2000", "--duplicates"],
-            capture_output=True,
-            text=True,
+    def test_crash_in_a_module_process_exits_internal(self):
+        # the whole process path: cli.main, its sys.exit and the real streams
+        code = (
+            "import sys\n"
+            "from herdsplit import cli\n"
+            "def boom(args):\n"
+            "    raise RuntimeError('kaboom')\n"
+            "cli._DISPATCH['check'] = boom\n"
+            "sys.argv = ['herdsplit', 'check', '--divisors', '2,3,9']\n"
+            "cli.main()\n"
         )
-        assert proc.returncode not in (0, 1)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == cli.EXIT_INTERNAL
         assert proc.stdout == ""
-        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+        assert proc.stderr == "error: internal: RuntimeError: kaboom\n"
 
     def test_oversized_generate_exits_two_before_any_output(self):
         # the first slot alone would place 10**12 - 1 divisors

@@ -104,6 +104,12 @@ class TestEnumerate:
             (4, 4),
         ]
 
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        # 1200 slots deep, past CPython's default limit of 1000 frames
+        bounds = SearchBounds(heirs=1200, max_divisor=2000, allow_duplicates=True)
+        with pytest.raises(BoundsTooLarge):
+            enumerate_specs(bounds, node_budget=10**5)
+
     @pytest.mark.parametrize("heirs", [1, 2, 3, 4])
     @pytest.mark.parametrize("max_divisor", [2, 3, 5, 9, 12, 16])
     @pytest.mark.parametrize("max_loan", [None, 0, 1, 3, 11])
