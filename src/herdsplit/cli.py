@@ -233,7 +233,24 @@ _DISPATCH = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse argv, execute, print to the standard streams, return exit code."""
+    """Parse argv, execute, print to the standard streams, return exit code.
+
+    CPython's int<->str digit limit is lifted for the call and restored
+    after it: lcms of long divisor lists and herds given on the command
+    line can exceed 4300 digits, and an argv must exit the same way in
+    process as from the console script.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter without one
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -259,8 +276,4 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    # Lift CPython's int<->str digit limit: lcms of long divisor lists and
-    # herds given on the command line can exceed 4300 digits.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     sys.exit(run())

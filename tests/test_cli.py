@@ -369,34 +369,68 @@ def _lifted_digit_limit(fn):
         sys.set_int_max_str_digits(old)
 
 
-def test_entry_point_prints_an_lcm_past_the_int_str_digit_limit():
+def _seven_digit_primes(count):
     primes = []
     n = 1000003
-    while len(primes) < 800:
+    while len(primes) < count:
         if all(n % d for d in range(2, math.isqrt(n) + 1)):
             primes.append(n)
         n += 2
+    return primes
+
+
+PRIMES_800 = _seven_digit_primes(800)
+LCM_800_CHECK = ["check", "--divisors", ",".join(map(str, PRIMES_800)),
+                 "--format", "json"]
+HUGE_HERD = "17" + "0" * 4400
+HUGE_HERD_SOLVE = ["solve", "--divisors", "2,3,9", "--herd", HUGE_HERD,
+                   "--format", "json"]
+
+
+def _assert_lcm_800_payload(stdout):
+    m = json.loads(stdout)["m"]
+    assert len(m) > 4300
+    assert m == _lifted_digit_limit(lambda: str(math.lcm(*PRIMES_800)))
+
+
+def _assert_huge_herd_payload(stdout):
+    payload = json.loads(stdout)
+    assert payload["herd"] == HUGE_HERD
+    assert payload["loan"] == "1" + "0" * 4400
+
+
+def test_entry_point_prints_an_lcm_past_the_int_str_digit_limit():
     proc = subprocess.run(
-        [sys.executable, "-m", "herdsplit", "check",
-         "--divisors", ",".join(map(str, primes)), "--format", "json"],
+        [sys.executable, "-m", "herdsplit", *LCM_800_CHECK],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    m = json.loads(proc.stdout)["m"]
-    assert len(m) > 4300
-    assert m == _lifted_digit_limit(lambda: str(math.lcm(*primes)))
+    _assert_lcm_800_payload(proc.stdout)
 
 
 def test_entry_point_accepts_a_herd_past_the_int_str_digit_limit():
-    herd = "17" + "0" * 4400
     proc = subprocess.run(
-        [sys.executable, "-m", "herdsplit", "solve", "--divisors", "2,3,9",
-         "--herd", herd, "--format", "json"],
+        [sys.executable, "-m", "herdsplit", *HUGE_HERD_SOLVE],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    payload = json.loads(proc.stdout)
-    assert payload["herd"] == herd
-    assert payload["loan"] == "1" + "0" * 4400
+    _assert_huge_herd_payload(proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv, check",
+    [(LCM_800_CHECK, _assert_lcm_800_payload),
+     (HUGE_HERD_SOLVE, _assert_huge_herd_payload)],
+    ids=["lcm-800-primes", "herd-4402-digits"],
+)
+def test_run_in_process_exits_as_the_entry_point_past_the_digit_limit(
+    capsys, argv, check
+):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = invoke(capsys, argv)
+    assert (code, err) == (0, "")
+    check(out)
+    # the lift lasts for the call only; the caller's limit comes back
+    assert sys.get_int_max_str_digits() == limit

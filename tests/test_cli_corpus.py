@@ -1,0 +1,130 @@
+"""The CLI bytes corpus: every argv in `golden/cli_corpus.txt` must give
+the recorded exit code, stdout and stderr.
+
+Each line of the file is the sha256 of `json.dumps([code, stdout,
+stderr])`, a space, and the argv as a JSON list. `corpus_argvs` builds
+the list; the file must hold exactly that list, in order, so a change to
+the corpus or to any output is a visible edit to one file. argparse usage
+errors and help text are left out: their wording moves between Python
+versions, and the `help*.txt` goldens pin the help for the CI version.
+
+After an intended change to the output, rewrite the file with
+`PYTHONPATH=src python tests/test_cli_corpus.py` and review its diff.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import sys
+from pathlib import Path
+
+from herdsplit import cli
+
+CORPUS = Path(__file__).parent / "golden" / "cli_corpus.txt"
+
+# Valid specs: 1-5 heirs with repeated divisors, the paper's examples and
+# a sum one short of the unit.
+VALID_SPECS = (
+    "3", "3,3", "3,4,4", "4,4,4", "3,3,9,9", "2,7,7,7", "5,5,5,5",
+    "6,6,6,6,6", "2,3,9", "3,4,5,6", "3,6,9,12", "2,3,7,43,1807",
+)
+# Overfull, exact-unit and nonpositive lists: validation rejects each.
+INVALID_SPECS = ("1", "2,2", "2,3,6", "2,3,4", "0", "2,-3", "2,0,5")
+# Sylvester's sequence to seven terms: the sum is 1 - 1/m with m of 27
+# digits.
+BIG_SPEC = "2,3,7,43,1807,3263443,10650056950807"
+
+
+def _r(spec):
+    divisors = [int(s) for s in spec.split(",")]
+    m = math.lcm(*divisors)
+    return sum(m // s for s in divisors)
+
+
+def _herds(r):
+    """Feasible, infeasible and huge herds around r."""
+    big = r * 10**20
+    return dict.fromkeys([1, r - 1, r, r + 1, 2 * r, big, big + 1])
+
+
+def _both_formats(argv):
+    return [argv, [*argv, "--format", "json"]]
+
+
+def corpus_argvs():
+    argvs = []
+    for spec in (*VALID_SPECS, BIG_SPEC, *INVALID_SPECS):
+        argvs += _both_formats(["check", "--divisors", spec])
+    for spec in (*VALID_SPECS, BIG_SPEC):
+        r = _r(spec)
+        for herd in _herds(r):
+            for command in ("solve", "breakdown", "explain"):
+                argvs += _both_formats([command, "--divisors", spec, "--herd", str(herd)])
+        for limit in dict.fromkeys([-1, r - 1, r, 5 * r]):
+            argvs += _both_formats(["herds", "--divisors", spec, "--limit", str(limit)])
+    for command in ("solve", "breakdown", "explain"):
+        for herd in ("-1", "0"):
+            argvs += _both_formats([command, "--divisors", "2,3,9", "--herd", herd])
+        for spec in INVALID_SPECS:
+            argvs.append([command, "--divisors", spec, "--herd", "17"])
+    for spec in INVALID_SPECS:
+        argvs.append(["herds", "--divisors", spec, "--limit", "60"])
+    # A herd past CPython's 4300-digit int<->str limit.
+    past_limit = "17" + "0" * 4400
+    for command in ("solve", "breakdown", "explain"):
+        argvs.append([command, "--divisors", "2,3,9", "--herd", past_limit,
+                      "--format", "json"])
+    for heirs in (1, 2, 3, 4):
+        for top in (3, 12):
+            for loan in (None, 0, 5):
+                for dup in (False, True):
+                    argv = ["generate", "--heirs", str(heirs), "--max-divisor", str(top)]
+                    argv += [] if loan is None else ["--max-loan", str(loan)]
+                    argvs += _both_formats(argv + ["--duplicates"] * dup)
+    # Out-of-range bounds, and a search over the node budget.
+    for bad in (["0", "6"], ["2", "1"], ["1", "1000000000000"]):
+        argvs += _both_formats(["generate", "--heirs", bad[0], "--max-divisor", bad[1]])
+    argvs += _both_formats(["generate", "--heirs", "2", "--max-divisor", "6",
+                            "--max-loan", "-1"])
+    return argvs
+
+
+def outcome_digest(argv):
+    """sha256 of (exit code, stdout, stderr) of one in-process `cli.run`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    outcome = json.dumps([code, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(outcome.encode()).hexdigest()
+
+
+def read_corpus():
+    entries = []
+    for line in CORPUS.read_text().splitlines():
+        digest, argv = line.split(" ", 1)
+        entries.append((digest, json.loads(argv)))
+    return entries
+
+
+def test_corpus_lists_the_built_argvs():
+    assert [argv for _, argv in read_corpus()] == corpus_argvs()
+
+
+def test_every_argv_gives_the_recorded_bytes():
+    for digest, argv in read_corpus():
+        assert outcome_digest(argv) == digest, f"output changed for {argv}"
+
+
+if __name__ == "__main__":
+    lines = []
+    for argv in corpus_argvs():
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            cli.run(argv)
+        if err.getvalue().startswith("usage:"):
+            sys.exit(f"argparse rejects {argv}; the corpus leaves usage errors out")
+        lines.append(f"{outcome_digest(argv)} {json.dumps(argv)}\n")
+    CORPUS.write_text("".join(lines))
+    print(f"wrote {len(lines)} argvs to {CORPUS}")
