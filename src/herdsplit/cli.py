@@ -240,7 +240,7 @@ def run(argv: list[str] | None = None) -> int:
     line can exceed 4300 digits, and an argv must exit the same way in
     process as from the console script.
     """
-    if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter without one
+    if not hasattr(sys, "set_int_max_str_digits"):  # CPython < 3.10.7 has no limit
         return _run(argv)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)

@@ -112,7 +112,7 @@ class FractionalBreakdown:
     """Exact fractional view of a division attempt."""
 
     raw_shares: tuple[Fraction, ...]  # herd / s_i
-    leftover: Fraction  # herd - sum(raw_shares)
+    leftover: Fraction  # herd - sum(raw_shares) = herd*(m - r)/m
     topups: tuple[Fraction, ...]  # loan / s_i when feasible, else empty
 
 
@@ -171,13 +171,15 @@ def feasible_herds(spec: ShareSpec, limit: int) -> list[tuple[int, int]]:
 def fractional_breakdown(spec: ShareSpec, herd: int) -> FractionalBreakdown:
     """Raw fractional shares, leftover, and (when feasible) the top-ups.
 
-    Works for any herd >= 1; the top-up list is empty when the herd is
-    infeasible, since the leftover only decomposes into loan/s_i terms
-    when a loan exists.
+    The leftover herd - sum(herd/s_i) is herd*(m - r)/m, read off the
+    spec's (m, r) since sum(1/s_i) = r/m exactly. Works for any herd >= 1;
+    the top-up list is empty when the herd is infeasible, since the
+    leftover only decomposes into loan/s_i terms when a loan exists.
     """
-    loan = _loan(spec.fraction_sum, herd)
+    fs = spec.fraction_sum
+    loan = _loan(fs, herd)
     raw = tuple(Fraction(herd, s) for s in spec.divisors)
-    leftover = herd - sum(raw)
+    leftover = Fraction(herd * (fs.m - fs.r), fs.m)
     topups = () if loan is None else tuple(Fraction(loan, s) for s in spec.divisors)
     return FractionalBreakdown(raw_shares=raw, leftover=leftover, topups=topups)
 

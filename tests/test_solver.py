@@ -29,6 +29,22 @@ def spec_divisors(max_heirs=5, max_divisor=30):
     ).filter(lambda ds: sum(Fraction(1, s) for s in ds) < 1)
 
 
+def repeated_divisors():
+    """Specs of up to 12 heirs in which some divisor appears more than once."""
+    return (
+        st.lists(
+            st.tuples(st.integers(2, 30), st.integers(1, 4)),
+            min_size=1,
+            max_size=3,
+        )
+        .map(lambda runs: [s for s, n in runs for _ in range(n)])
+        .filter(
+            lambda ds: len(set(ds)) < len(ds)
+            and sum(Fraction(1, s) for s in ds) < 1
+        )
+    )
+
+
 class TestValidateSpec:
     def test_classic_is_valid(self):
         spec = validate_spec(CLASSIC)
@@ -285,6 +301,7 @@ class TestFractionalBreakdown:
         assert bd.raw_shares == tuple(Fraction(herd, s) for s in divisors)
         # leftover = herd * (m - r) / m as an exact reduced rational
         assert bd.leftover == Fraction(herd * (fs.m - fs.r), fs.m)
+        assert bd.leftover == herd - sum(bd.raw_shares, Fraction(0))
         if herd % fs.r == 0:
             sol = solve(spec, herd)
             assert sum(bd.topups, Fraction(0)) == bd.leftover
@@ -292,6 +309,17 @@ class TestFractionalBreakdown:
                 assert raw + topup == share
         else:
             assert bd.topups == ()
+
+    @given(st.one_of(spec_divisors(), repeated_divisors()), st.integers(1, 10**30))
+    @settings(max_examples=150)
+    @example([3, 3], 10**30)
+    @example([6, 6, 6, 6, 6], 10**30 - 1)
+    def test_leftover_is_the_herd_less_its_raw_shares(self, divisors, a):
+        spec = validate_spec(divisors)
+        for herd in (a, a * spec.fraction_sum.r):  # the second is feasible
+            bd = fractional_breakdown(spec, herd)
+            assert bd.leftover == herd - sum(bd.raw_shares, Fraction(0))
+        assert sum(bd.topups, Fraction(0)) == bd.leftover
 
 
 class TestExplain:
