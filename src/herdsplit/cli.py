@@ -3,11 +3,13 @@
 Exit codes: 0 = success/feasible, 1 = valid input but infeasible herd,
 2 = invalid input (parse or validation error, diagnostic on stderr),
 3 = internal error (one "error: internal: ..." line on stderr, no stdout).
-Results go to stdout only; diagnostics go to stderr only. JSON output is a
-single object; `_json` alone encodes its values (integers as decimal
-strings, rationals as reduced {"num", "den"} pairs), bar the inline `herds`
-rows. Text output lists the same object's fields in the same order, one
-"label: value" line each.
+Results go to stdout only; diagnostics go to stderr only. Each command
+returns a payload of plain values (ints, Fractions, bools, None, tuples),
+and rendering encodes them once: `to_json` passes each top-level value
+through `_json` (integers as decimal strings, rationals as reduced
+{"num", "den"} pairs), and `to_text` lists the same fields in the same
+order, one "label: value" line each. The bulk `herds` and `puzzles` rows
+come pre-encoded.
 
 If the reader closes the pipe early (`herdsplit herds ... | head -1`), the
 rest of the output is dropped without a traceback: stdout is pointed at
@@ -17,6 +19,7 @@ and the command keeps its own exit code (0 for `herds`).
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -40,6 +43,7 @@ def _divisor_list(text: str) -> tuple[int, ...]:
         )
 
 
+@functools.cache  # built on first use, not at import: importing stays cheap
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
@@ -87,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def to_json(payload: dict) -> str:
     """Canonical JSON rendering; reparsing and re-rendering is byte-stable."""
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps({k: _json(v) for k, v in payload.items()}, indent=2) + "\n"
 
 
 # Text output lists the payload's fields in order as "label: value" lines;
@@ -110,12 +114,9 @@ def _text_value(value) -> str:
         return "yes" if value else "no"
     if value is None:
         return "none"
-    if isinstance(value, dict):  # a rational
-        den = value["den"]
-        return value["num"] if den == "1" else f"{value['num']}/{den}"
-    if isinstance(value, list):
+    if isinstance(value, tuple):
         return ", ".join(map(_text_value, value)) or "none"
-    return value
+    return str(value)
 
 
 def _text_row(row) -> str:
@@ -157,18 +158,18 @@ def _json(value):
 
 
 def _fields(result) -> dict:
-    """A result dataclass's fields, encoded, in declaration order."""
-    return {f.name: _json(getattr(result, f.name)) for f in dataclasses.fields(result)}
+    """A result dataclass's fields in declaration order."""
+    return {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
 
 
 def _spec_fields(spec: solver.ShareSpec) -> dict:
     fs = spec.fraction_sum
-    return {"divisors": _json(spec.divisors), "r": _json(fs.r), "m": _json(fs.m)}
+    return {"divisors": spec.divisors, "r": fs.r, "m": fs.m}
 
 
 def _cmd_check(args):
     spec = solver.validate_spec(args.divisors)
-    return EXIT_OK, _spec_fields(spec) | {"reduced": _json(spec.fraction_sum.reduced)}
+    return EXIT_OK, _spec_fields(spec) | {"reduced": spec.fraction_sum.reduced}
 
 
 def _cmd_solve(args):
@@ -176,7 +177,7 @@ def _cmd_solve(args):
     spec = solver.validate_spec(args.divisors)
     sol = solver.solve(spec, args.herd)
     payload = _spec_fields(spec)
-    payload["herd"] = _json(args.herd)
+    payload["herd"] = args.herd
     payload["feasible"] = isinstance(sol, solver.LoanSolution)
     # herd (and Infeasible's r) repeat with equal values; update keeps their place
     payload.update(_fields(sol))
@@ -191,8 +192,9 @@ def _cmd_herds(args):
     spec = solver.validate_spec(args.divisors)
     rows = solver.feasible_herds(spec, args.limit)
     payload = _spec_fields(spec)
-    payload["limit"] = _json(args.limit)
-    # str() per value, not _json: listings run to 10^5+ rows, so a call costs time
+    payload["limit"] = args.limit
+    # str() per value, not _json: on the 294k-row herds JSON benchmark, _json
+    # per value made the process 19% slower (8% with an int fast path)
     payload["herds"] = [{"herd": str(h), "loan": str(x)} for h, x in rows]
     return EXIT_OK, payload
 
@@ -201,7 +203,7 @@ def _cmd_breakdown(args):
     spec = solver.validate_spec(args.divisors)
     bd = solver.fractional_breakdown(spec, args.herd)
     payload = _spec_fields(spec)
-    payload["herd"] = _json(args.herd)
+    payload["herd"] = args.herd
     payload["feasible"] = bool(bd.topups)
     return EXIT_OK, payload | _fields(bd)
 
@@ -217,8 +219,10 @@ def _cmd_generate(args):
     payload = _fields(bounds)
     # allow_duplicates, the last field, is "duplicates" on the command line
     payload["duplicates"] = payload.pop("allow_duplicates")
-    payload["count"] = _json(len(records))
-    payload["puzzles"] = [_fields(rec) for rec in records]
+    payload["count"] = len(records)
+    payload["puzzles"] = [
+        {k: _json(v) for k, v in _fields(rec).items()} for rec in records
+    ]
     return EXIT_OK, payload
 
 
@@ -240,32 +244,23 @@ def run(argv: list[str] | None = None) -> int:
     line can exceed 4300 digits, and an argv must exit the same way in
     process as from the console script.
     """
-    if not hasattr(sys, "set_int_max_str_digits"):  # CPython < 3.10.7 has no limit
-        return _run(argv)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return _run(argv)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
-def _run(argv: list[str] | None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already wrote its diagnostic
-        return exc.code  # 0 after --help, 2 after a usage error
-    render = to_json if args.format == "json" else to_text
-    try:
+        args = build_parser().parse_args(argv)
+        render = to_json if args.format == "json" else to_text
         code, payload = _DISPATCH[args.command](args)
         out = render(payload)
+    except SystemExit as exc:  # argparse already wrote its diagnostic
+        return exc.code  # 0 after --help, 2 after a usage error
     except HerdsplitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:  # a crash must not read as "infeasible"
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        sys.set_int_max_str_digits(limit)
     try:
         sys.stdout.write(out)
         sys.stdout.flush()

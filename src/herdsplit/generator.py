@@ -48,7 +48,8 @@ def enumerate_specs(
     """Every canonical tuple inside `bounds`, exactly once, in lex order.
 
     Depth-first search over nondecreasing tuples, in one loop. The divisors
-    that fit a slot form one closed-form span up to max_divisor, and a
+    that fit a slot form one closed-form span up to max_divisor, or, without
+    duplicates, up to max_divisor less the slots still to fill after it. A
     backtrack moves the deepest slot on to its span's next divisor. Each
     admissible placement is one node; a span is charged whole when its slot
     opens, and exceeding the budget raises rather than truncating.
@@ -64,9 +65,12 @@ def enumerate_specs(
         # The prefix's sum is exactly r/m, and each of the remaining - 1
         # later divisors adds at least 1/top, so s fits iff s*room > m*top.
         remaining = bounds.heirs - len(prefix)
+        # Without duplicates the remaining - 1 later divisors are distinct and
+        # larger, so this slot's span ends at top + 1 - remaining.
+        hi = top if bounds.allow_duplicates else top + 1 - remaining
         room = top * (m - r) - (remaining - 1) * m
-        s = max(s, m * top // room + 1) if room > 0 else top + 1
-        nodes += max(top + 1 - s, 0)
+        s = max(s, m * top // room + 1) if room > 0 else hi + 1
+        nodes += max(hi + 1 - s, 0)
         if nodes > node_budget:
             raise BoundsTooLarge(
                 f"enumeration exceeded the node budget of {node_budget}"
@@ -85,12 +89,14 @@ def enumerate_specs(
                             minimal_loan=loan,
                         )
                     )
-            s = top + 1
-        while s > top:
+            s = hi + 1
+        while s > hi:
             if not prefix:
                 return records
             s = prefix.pop() + 1
             m, r = sums.pop()
+            if not bounds.allow_duplicates:
+                hi -= 1
         prefix.append(s)
         sums.append((m, r))
         m, r = _m_and_r_step(m, r, s)

@@ -87,6 +87,10 @@ def invoke(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _boom(args):
+    raise RuntimeError("kaboom")
+
+
 class TestSpecExamples:
     def test_solve_seventeen_json_bytes(self, capsys):
         code, out, err = invoke(
@@ -337,10 +341,7 @@ class TestInternalErrors:
         assert proc.stderr.count("\n") == 1 and "node budget" in proc.stderr
 
     def test_unexpected_exception_exits_internal(self, capsys, monkeypatch):
-        def boom(args):
-            raise RuntimeError("kaboom")
-
-        monkeypatch.setitem(cli._DISPATCH, "check", boom)
+        monkeypatch.setitem(cli._DISPATCH, "check", _boom)
         code, out, err = invoke(capsys, ["check", "--divisors", "2,3,9"])
         assert code == cli.EXIT_INTERNAL == 3
         assert out == ""
@@ -434,3 +435,36 @@ def test_run_in_process_exits_as_the_entry_point_past_the_digit_limit(
     check(out)
     # the lift lasts for the call only; the caller's limit comes back
     assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(["check", "--help"], 0),
+     (["solve", "--divisors", "2,3,9", "--herd", "16"], 1),
+     (["check", "--divisors", "2,3,9", "--format", "xml"], 2),
+     (["check", "--divisors", "2,2"], 2),
+     (["check", "--divisors", "2,3,9"], 3)],
+    ids=["help", "infeasible", "usage-error", "invalid-spec", "internal-error"],
+)
+def test_run_restores_the_callers_digit_limit_on_every_exit(
+    capsys, monkeypatch, argv, expected
+):
+    if expected == cli.EXIT_INTERNAL:
+        monkeypatch.setitem(cli._DISPATCH, "check", _boom)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)  # not the default, so a reset would show
+    try:
+        code, _, _ = invoke(capsys, argv)
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == expected
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["generate", "--heirs", "2", "--max-divisor", "6"]
+    code, out, _ = invoke(capsys, [*argv, "--duplicates"])
+    assert code == 0 and "duplicates: yes\n" in out
+    code, out, _ = invoke(capsys, argv)
+    assert code == 0 and "duplicates: no\n" in out

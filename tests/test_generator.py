@@ -38,6 +38,8 @@ def brute_force_node_count(bounds):
     k, top = bounds.heirs, bounds.max_divisor
     return sum(
         sum(Fraction(1, s) for s in prefix) + Fraction(k - len(prefix), top) < 1
+        # distinct later divisors must still fit below top
+        and (bounds.allow_duplicates or prefix[-1] <= top - (k - len(prefix)))
         for length in range(1, k + 1)
         for prefix in pick(range(2, top + 1), length)
     )
@@ -172,6 +174,11 @@ class TestEnumerate:
             enumerate_specs(SearchBounds(heirs=1, max_divisor=10**12), node_budget=1000)
         assert calls == 0
 
+    def test_distinct_divisors_that_cannot_fit_end_at_once(self):
+        # 1200 distinct divisors in 2..1201 must start at 2, but a sum below
+        # 1 needs the first past 600, so the first span is empty
+        assert enumerate_specs(SearchBounds(1200, 1201), node_budget=1) == []
+
     def test_generous_budget_is_enough(self):
         records = enumerate_specs(
             SearchBounds(heirs=3, max_divisor=12), node_budget=10**5
@@ -186,8 +193,8 @@ class TestPinnedSearch:
         # one node per admissible placement
         bounds = SearchBounds(heirs=5, max_divisor=40, max_loan=1)
         with pytest.raises(BoundsTooLarge):
-            enumerate_specs(bounds, node_budget=661863)
-        assert len(enumerate_specs(bounds, node_budget=661864)) == 170
+            enumerate_specs(bounds, node_budget=651949)
+        assert len(enumerate_specs(bounds, node_budget=651950)) == 170
 
     def test_four_heirs_with_duplicates_match_brute_force(self):
         bounds = SearchBounds(heirs=4, max_divisor=30, allow_duplicates=True)
