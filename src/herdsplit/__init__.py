@@ -7,11 +7,8 @@ returning the borrowed units untouched. All arithmetic is exact.
 
 from .errors import (
     BoundsTooLarge,
-    EmptySpec,
     HerdsplitError,
-    HerdZero,
     InvalidInput,
-    NonPositiveDivisor,
     ShareOverflow,
 )
 from .generator import (
@@ -41,15 +38,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundsTooLarge",
     "DEFAULT_NODE_BUDGET",
-    "EmptySpec",
     "FractionSum",
     "FractionalBreakdown",
-    "HerdZero",
     "HerdsplitError",
     "Infeasible",
     "InvalidInput",
     "LoanSolution",
-    "NonPositiveDivisor",
     "NotFoundWithinBound",
     "PuzzleRecord",
     "SearchBounds",

@@ -20,7 +20,6 @@ and the command keeps its own exit code (0 for `herds`).
 import argparse
 import dataclasses
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
@@ -91,6 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def to_json(payload: dict) -> str:
     """Canonical JSON rendering; reparsing and re-rendering is byte-stable."""
+    import json  # here, not at the top: text output never loads it
+
     return json.dumps({k: _json(v) for k, v in payload.items()}, indent=2) + "\n"
 
 

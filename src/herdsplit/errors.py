@@ -1,6 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer check.
 
-from fractions import Fraction
+Input outside an operation's domain raises `InvalidInput`. Its only
+subclass is `ShareOverflow`, which carries the exact share sum. Integer
+arguments must be of type `int`: a bool, float, Fraction or string is
+rejected by `require_int`, never computed with.
+"""
 
 
 class HerdsplitError(Exception):
@@ -11,21 +15,13 @@ class InvalidInput(HerdsplitError):
     """An argument lies outside an operation's domain."""
 
 
-class EmptySpec(InvalidInput):
-    """A share specification needs at least one divisor."""
-
-
-class NonPositiveDivisor(InvalidInput):
-    """Divisors must be positive integers."""
-
-
 class ShareOverflow(InvalidInput):
     """The unit fractions sum to 1 or more, so no leftover exists to absorb.
 
-    Carries the exact offending sum in ``total``.
+    Carries the exact offending sum, a Fraction, in ``total``.
     """
 
-    def __init__(self, total: Fraction):
+    def __init__(self, total):
         self.total = total
         if total == 1:
             message = "share sum equals 1"
@@ -34,9 +30,13 @@ class ShareOverflow(InvalidInput):
         super().__init__(message)
 
 
-class HerdZero(InvalidInput):
-    """Herd size must be at least 1."""
-
-
 class BoundsTooLarge(HerdsplitError):
     """An enumeration exceeded its node budget."""
+
+
+def require_int(name: str, value, least: int | None = None) -> None:
+    """Raise InvalidInput unless `value` is an int (not a bool) >= `least`."""
+    if type(value) is not int:
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InvalidInput(f"{name} must be >= {least}, got {value}")

@@ -7,7 +7,7 @@ classic one-borrowed-unit puzzles are exactly those with m - r = 1.
 
 from dataclasses import dataclass
 
-from .errors import BoundsTooLarge, InvalidInput
+from .errors import BoundsTooLarge, require_int
 from .solver import _m_and_r_step
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -23,12 +23,10 @@ class SearchBounds:
     allow_duplicates: bool = False
 
     def __post_init__(self):
-        if self.heirs < 1:
-            raise InvalidInput(f"heirs must be >= 1, got {self.heirs}")
-        if self.max_divisor < 2:
-            raise InvalidInput(f"max_divisor must be >= 2, got {self.max_divisor}")
-        if self.max_loan is not None and self.max_loan < 0:
-            raise InvalidInput(f"max_loan must be >= 0, got {self.max_loan}")
+        require_int("heirs", self.heirs, 1)
+        require_int("max_divisor", self.max_divisor, 2)
+        if self.max_loan is not None:
+            require_int("max_loan", self.max_loan, 0)
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,13 @@ top-ups x/s_i absorb it exactly.
 """
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
 
 from . import _kernels
-from .errors import EmptySpec, HerdZero, NonPositiveDivisor, ShareOverflow
+from .errors import InvalidInput, ShareOverflow, require_int
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,10 @@ class ShareSpec:
     def __post_init__(self):
         object.__setattr__(self, "divisors", tuple(self.divisors))
         if not self.divisors:
-            raise EmptySpec("at least one divisor is required")
+            raise InvalidInput("at least one divisor is required")
         for s in self.divisors:
-            if s < 1:
-                raise NonPositiveDivisor(f"divisor {s} is not a positive integer")
+            if type(s) is not int or s < 1:
+                raise InvalidInput(f"divisor {s!r} is not a positive integer")
         fs = self.fraction_sum
         if fs.r >= fs.m:  # sum(1/s_i) = r/m
             raise ShareOverflow(fs.reduced)
@@ -117,7 +117,7 @@ class FractionalBreakdown:
 
 
 def validate_spec(divisors: Iterable[int]) -> ShareSpec:
-    """Build a ShareSpec, rejecting empty, nonpositive, or overfull input."""
+    """Build a ShareSpec; reject empty, non-integer, nonpositive or overfull input."""
     return ShareSpec(tuple(divisors))
 
 
@@ -128,8 +128,7 @@ def fraction_sum(spec: ShareSpec) -> FractionSum:
 
 def _loan(fs: FractionSum, herd: int) -> int | None:
     """The loan herd/r * (m - r) when r divides `herd`, else None."""
-    if herd < 1:
-        raise HerdZero(f"herd must be >= 1, got {herd}")
+    require_int("herd", herd, 1)
     if herd % fs.r:
         return None
     return herd // fs.r * (fs.m - fs.r)
@@ -163,6 +162,7 @@ def solve(spec: ShareSpec, herd: int) -> LoanSolution | Infeasible:
 
 def feasible_herds(spec: ShareSpec, limit: int) -> list[tuple[int, int]]:
     """All (herd, loan) pairs with herd <= limit, in increasing order."""
+    require_int("limit", limit)
     fs = spec.fraction_sum
     per_step_loan = fs.m - fs.r
     return [(a * fs.r, a * per_step_loan) for a in range(1, limit // fs.r + 1)]
@@ -198,8 +198,8 @@ def oracle_solve(
     O(log herd) totals plus at most one lcm-period of strides, not
     loan / max(s_i) strides.
     """
-    if herd < 1:
-        raise HerdZero(f"herd must be >= 1, got {herd}")
+    require_int("herd", herd, 1)
+    require_int("loan_bound", loan_bound)
     x = _kernels.scan_first_loan(herd, loan_bound, spec.divisors)
     if x is None:
         return NotFoundWithinBound(herd=herd, bound=loan_bound)

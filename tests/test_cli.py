@@ -468,3 +468,35 @@ def test_the_parser_is_built_once_and_keeps_no_state(capsys):
     assert code == 0 and "duplicates: yes\n" in out
     code, out, _ = invoke(capsys, argv)
     assert code == 0 and "duplicates: no\n" in out
+
+
+# -S skips site, whose .pth files may preload modules the CLI never uses.
+LAZY_IMPORTS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from herdsplit.cli import run
+code = run(sys.argv[2:])
+print(*sorted({"json", "typing"} & sys.modules.keys()), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout, loaded",
+    [
+        (["solve", "--divisors", "2,3,9", "--herd", "16"], 1, SOLVE_16_TEXT, ""),
+        (["check", "--divisors", "2,3,9", "--format", "json"], 0,
+         (GOLDEN / "check_json.txt").read_text(), "json"),
+    ],
+    ids=["text-solve", "json-check"],
+)
+def test_a_command_loads_only_the_modules_it_uses(argv, code, stdout, loaded):
+    src = str(Path(__file__).parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", LAZY_IMPORTS, src, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (code, stdout)
+    assert proc.stderr == loaded + "\n"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from herdsplit.errors import HerdZero
+from herdsplit.errors import InvalidInput
 from herdsplit.solver import (
     Infeasible,
     LoanSolution,
@@ -47,7 +47,7 @@ class TestOracleExamples:
         )
 
     def test_zero_herd_raises(self):
-        with pytest.raises(HerdZero):
+        with pytest.raises(InvalidInput, match="^herd must be >= 1, got 0$"):
             oracle_solve(validate_spec(CLASSIC), 0, 10)
 
 

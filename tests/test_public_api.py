@@ -17,15 +17,12 @@ def test_the_public_names_are_exactly_these():
     assert sorted(herdsplit.__all__) == [
         "BoundsTooLarge",
         "DEFAULT_NODE_BUDGET",
-        "EmptySpec",
         "FractionSum",
         "FractionalBreakdown",
-        "HerdZero",
         "HerdsplitError",
         "Infeasible",
         "InvalidInput",
         "LoanSolution",
-        "NonPositiveDivisor",
         "NotFoundWithinBound",
         "PuzzleRecord",
         "SearchBounds",
@@ -54,6 +51,9 @@ def test_the_public_names_are_exactly_these():
         "minimal_instance",
         "canonicalize",
         "InfeasibleHerd",
+        "EmptySpec",
+        "NonPositiveDivisor",
+        "HerdZero",
     ],
 )
 def test_retired_name_is_absent(name):
@@ -63,7 +63,8 @@ def test_retired_name_is_absent(name):
 
 def test_retired_names_are_gone_from_their_modules_too():
     assert not hasattr(herdsplit.ShareSpec, "heirs")
-    assert not hasattr(herdsplit.errors, "InfeasibleHerd")
+    for name in ("InfeasibleHerd", "EmptySpec", "NonPositiveDivisor", "HerdZero"):
+        assert not hasattr(herdsplit.errors, name), name
     assert not hasattr(herdsplit.generator, "canonicalize")
 
 

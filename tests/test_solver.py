@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from herdsplit.errors import EmptySpec, HerdZero, NonPositiveDivisor, ShareOverflow
+from herdsplit.errors import InvalidInput, ShareOverflow
 from herdsplit.solver import (
     Infeasible,
     LoanSolution,
@@ -64,15 +64,17 @@ class TestValidateSpec:
         assert "3/2" in str(excinfo.value)
 
     def test_empty_is_rejected(self):
-        with pytest.raises(EmptySpec):
+        with pytest.raises(InvalidInput, match="^at least one divisor is required$"):
             validate_spec(())
 
     def test_zero_divisor_is_rejected(self):
-        with pytest.raises(NonPositiveDivisor):
+        message = "^divisor 0 is not a positive integer$"
+        with pytest.raises(InvalidInput, match=message):
             validate_spec((2, 0, 5))
 
     def test_negative_divisor_is_rejected(self):
-        with pytest.raises(NonPositiveDivisor):
+        message = "^divisor -3 is not a positive integer$"
+        with pytest.raises(InvalidInput, match=message):
             validate_spec((2, -3))
 
     def test_divisor_one_always_overflows(self):
@@ -171,7 +173,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("herd", [0, -5])
     def test_nonpositive_herd_is_rejected(self, herd):
-        with pytest.raises(HerdZero):
+        with pytest.raises(InvalidInput, match=f"^herd must be >= 1, got {herd}$"):
             solve(validate_spec(CLASSIC), herd)
 
     @given(spec_divisors(), st.integers(1, 50))
@@ -289,7 +291,7 @@ class TestFractionalBreakdown:
         assert bd.topups == ()
 
     def test_zero_herd_raises(self):
-        with pytest.raises(HerdZero):
+        with pytest.raises(InvalidInput, match="^herd must be >= 1, got 0$"):
             fractional_breakdown(validate_spec(CLASSIC), 0)
 
     @given(spec_divisors(), st.integers(1, 400))
