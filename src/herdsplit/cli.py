@@ -14,7 +14,10 @@ come pre-encoded.
 If the reader closes the pipe early (`herdsplit herds ... | head -1`), the
 rest of the output is dropped without a traceback: stdout is pointed at
 os.devnull, as the Python `signal` documentation recommends for SIGPIPE,
-and the command keeps its own exit code (0 for `herds`).
+and the command keeps its own exit code (0 for `herds`). Any other failed
+write to stdout, such as `> /dev/full`, exits 3 with its one "error:
+internal: ..." line, and stdout is pointed at os.devnull the same way so
+the flush at exit stays quiet.
 """
 
 import argparse
@@ -237,6 +240,18 @@ _DISPATCH = {
 }
 
 
+def _stdout_to_devnull() -> None:
+    """Point stdout's descriptor, if it has one, at os.devnull, so the
+    output still buffered cannot fail again in the flush at exit."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def run(argv: list[str] | None = None) -> int:
     """Parse argv, execute, print to the standard streams, return exit code.
 
@@ -251,23 +266,23 @@ def run(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         render = to_json if args.format == "json" else to_text
         code, payload = _DISPATCH[args.command](args)
-        out = render(payload)
+        sys.stdout.write(render(payload))
+        sys.stdout.flush()
     except SystemExit as exc:  # argparse already wrote its diagnostic
         return exc.code  # 0 after --help, 2 after a usage error
     except HerdsplitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except BrokenPipeError:  # the reader is gone; the command's code stands
+        _stdout_to_devnull()
+        return code
     except Exception as exc:  # a crash must not read as "infeasible"
+        if isinstance(exc, OSError):  # say, a full disk under stdout
+            _stdout_to_devnull()
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     finally:
         sys.set_int_max_str_digits(limit)
-    try:
-        sys.stdout.write(out)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader is gone; the flush at exit must not raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

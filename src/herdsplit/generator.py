@@ -7,7 +7,7 @@ classic one-borrowed-unit puzzles are exactly those with m - r = 1.
 
 from dataclasses import dataclass
 
-from .errors import BoundsTooLarge, require_int
+from .errors import BoundsTooLarge, InvalidInput, require_int
 from .solver import _m_and_r_step
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -27,6 +27,10 @@ class SearchBounds:
         require_int("max_divisor", self.max_divisor, 2)
         if self.max_loan is not None:
             require_int("max_loan", self.max_loan, 0)
+        if type(self.allow_duplicates) is not bool:
+            raise InvalidInput(
+                f"allow_duplicates must be a bool, got {self.allow_duplicates!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -46,13 +50,15 @@ def enumerate_specs(
     """Every canonical tuple inside `bounds`, exactly once, in lex order.
 
     Depth-first search over nondecreasing tuples, in one loop. The divisors
-    that fit a slot form one closed-form span up to max_divisor, or, without
-    duplicates, up to max_divisor less the slots still to fill after it. A
-    backtrack moves the deepest slot on to its span's next divisor. Each
-    admissible placement is one node; a span is charged whole when its slot
-    opens, and exceeding the budget raises rather than truncating.
+    that fit a slot form one closed-form span. `gap`, the least step from a
+    divisor to the next, is 0 with duplicates and 1 without: a span ends
+    `gap` below max_divisor per slot left after it, and a child's starts
+    `gap` past its parent. A backtrack moves the deepest slot on to its
+    span's next divisor. Each admissible placement is one node; a span is
+    charged whole when its slot opens, and exceeding the budget raises.
     """
     top = bounds.max_divisor
+    gap = 0 if bounds.allow_duplicates else 1
     records: list[PuzzleRecord] = []
     prefix: list[int] = []
     sums: list[tuple[int, int]] = []  # sums[i] is the exact (m, r) of prefix[:i]
@@ -63,9 +69,7 @@ def enumerate_specs(
         # The prefix's sum is exactly r/m, and each of the remaining - 1
         # later divisors adds at least 1/top, so s fits iff s*room > m*top.
         remaining = bounds.heirs - len(prefix)
-        # Without duplicates the remaining - 1 later divisors are distinct and
-        # larger, so this slot's span ends at top + 1 - remaining.
-        hi = top if bounds.allow_duplicates else top + 1 - remaining
+        hi = top - gap * (remaining - 1)
         room = top * (m - r) - (remaining - 1) * m
         s = max(s, m * top // room + 1) if room > 0 else hi + 1
         nodes += max(hi + 1 - s, 0)
@@ -74,7 +78,7 @@ def enumerate_specs(
                 f"enumeration exceeded the node budget of {node_budget}"
             )
         if remaining == 1:
-            for s in range(s, top + 1):
+            for s in range(s, hi + 1):
                 new_m, new_r = _m_and_r_step(m, r, s)
                 loan = new_m - new_r
                 if bounds.max_loan is None or loan <= bounds.max_loan:
@@ -93,10 +97,8 @@ def enumerate_specs(
                 return records
             s = prefix.pop() + 1
             m, r = sums.pop()
-            if not bounds.allow_duplicates:
-                hi -= 1
+            hi -= gap
         prefix.append(s)
         sums.append((m, r))
         m, r = _m_and_r_step(m, r, s)
-        if not bounds.allow_duplicates:
-            s += 1
+        s += gap

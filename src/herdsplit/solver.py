@@ -17,9 +17,8 @@ top-ups x/s_i absorb it exactly.
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from . import _kernels
 from .errors import InvalidInput, ShareOverflow, require_int
@@ -55,27 +54,30 @@ def _m_and_r(divisors: tuple[int, ...]) -> tuple[int, int]:
 class ShareSpec:
     """Validated divisor list: heir i gets 1/divisors[i], input order kept.
 
-    Only constructible when the unit fractions sum to strictly less than 1;
-    use `validate_spec` for a checked build from raw input.
+    Only constructible when the unit fractions sum to strictly less than 1.
     """
 
     divisors: tuple[int, ...]
+    fraction_sum: FractionSum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "divisors", tuple(self.divisors))
-        if not self.divisors:
+        try:
+            divisors = tuple(self.divisors)
+        except TypeError:
+            raise InvalidInput(
+                f"divisors must be an iterable of integers, got {self.divisors!r}"
+            ) from None
+        if not divisors:
             raise InvalidInput("at least one divisor is required")
-        for s in self.divisors:
+        for s in divisors:
             if type(s) is not int or s < 1:
                 raise InvalidInput(f"divisor {s!r} is not a positive integer")
-        fs = self.fraction_sum
-        if fs.r >= fs.m:  # sum(1/s_i) = r/m
+        m, r = _m_and_r(divisors)
+        fs = FractionSum(m=m, r=r, reduced=Fraction(r, m))
+        if r >= m:  # sum(1/s_i) = r/m
             raise ShareOverflow(fs.reduced)
-
-    @cached_property
-    def fraction_sum(self) -> FractionSum:
-        m, r = _m_and_r(self.divisors)
-        return FractionSum(m=m, r=r, reduced=Fraction(r, m))
+        object.__setattr__(self, "divisors", divisors)
+        object.__setattr__(self, "fraction_sum", fs)
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,7 @@ class FractionalBreakdown:
 
 def validate_spec(divisors: Iterable[int]) -> ShareSpec:
     """Build a ShareSpec; reject empty, non-integer, nonpositive or overfull input."""
-    return ShareSpec(tuple(divisors))
+    return ShareSpec(divisors)
 
 
 def fraction_sum(spec: ShareSpec) -> FractionSum:

@@ -1,7 +1,10 @@
 """Command-line behavior: exit codes, payloads, stream discipline."""
 
+import errno
+import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -14,52 +17,9 @@ from herdsplit.cli import run, to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
-SOLVE_17_JSON = """\
-{
-  "divisors": [
-    "2",
-    "3",
-    "9"
-  ],
-  "r": "17",
-  "m": "18",
-  "herd": "17",
-  "feasible": true,
-  "loan": "1",
-  "augmented": "18",
-  "multiplier": "1",
-  "shares": [
-    "9",
-    "6",
-    "2"
-  ]
-}
-"""
-
-SOLVE_16_TEXT = """\
-divisors: 2, 3, 9
-r: 17
-m: 18
-herd: 16
-feasible: no
-nearest feasible below: none
-nearest feasible above: 17
-"""
-
-GENERATE_TEXT = """\
-heirs: 3
-max divisor: 9
-max loan: 1
-duplicates: no
-count: 6
-puzzles (divisors r m minimal_herd minimal_loan):
-2,3,7 41 42 41 1
-2,3,8 23 24 23 1
-2,3,9 17 18 17 1
-2,4,5 19 20 19 1
-2,4,6 11 12 11 1
-2,4,8 7 8 7 1
-"""
+SOLVE_17_JSON = (GOLDEN / "solve_feasible_json.txt").read_text()
+SOLVE_16_TEXT = (GOLDEN / "solve_infeasible.txt").read_text()
+GENERATE_TEXT = (GOLDEN / "generate.txt").read_text()
 
 JSON_FIXTURES = [
     ["check", "--divisors", "2,3,9", "--format", "json"],
@@ -89,6 +49,9 @@ def invoke(capsys, argv):
 
 def _boom(args):
     raise RuntimeError("kaboom")
+
+
+FULL_STDOUT_ERROR = "error: internal: OSError: [Errno 28] No space left on device\n"
 
 
 class TestSpecExamples:
@@ -262,12 +225,14 @@ class TestGenerateOutput:
 # golden file stem -> argv; each prints the file's bytes
 TEXT_GOLDENS = {
     "check": ["check", "--divisors", "2,3,9"],
+    "solve_infeasible": ["solve", "--divisors", "2,3,9", "--herd", "16"],
     "herds_rows": ["herds", "--divisors", "2,3,9", "--limit", "60"],
     "herds_none": ["herds", "--divisors", "2,3,9", "--limit", "16"],
     "breakdown_feasible": ["breakdown", "--divisors", "2,3,9", "--herd", "17"],
     # 18 is not a multiple of r = 17, yet every raw share 18/s is integral
     "breakdown_infeasible": ["breakdown", "--divisors", "2,3,9", "--herd", "18"],
     "explain": ["explain", "--divisors", "2,3,9", "--herd", "17"],
+    "generate": ["generate", "--heirs", "3", "--max-divisor", "9", "--max-loan", "1"],
     "generate_unbounded": ["generate", "--heirs", "2", "--max-divisor", "6"],
     "generate_none": ["generate", "--heirs", "3", "--max-divisor", "3"],
     "help": ["--help"],
@@ -296,7 +261,7 @@ TEXT_GOLDENS = {
     },
 }
 # goldens that exit nonzero; every other one exits 0
-GOLDEN_EXIT = {"solve_infeasible_json": 1}
+GOLDEN_EXIT = {"solve_infeasible": 1, "solve_infeasible_json": 1}
 
 
 @pytest.mark.parametrize("name", sorted(TEXT_GOLDENS))
@@ -346,6 +311,33 @@ class TestInternalErrors:
         assert code == cli.EXIT_INTERNAL == 3
         assert out == ""
         assert err == "error: internal: RuntimeError: kaboom\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_a_full_stdout_exits_internal_with_one_line(self, monkeypatch, unbuffered):
+        # unbuffered, the write fails; buffered, the flush does, and without
+        # the devnull redirect the flush at exit would fail once more
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        if unbuffered:
+            monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "herdsplit", "solve", "--divisors", "2,3,9",
+                 "--herd", "17"],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        assert proc.returncode == cli.EXIT_INTERNAL
+        assert proc.stderr == FULL_STDOUT_ERROR
+
+    def test_a_failed_stdout_write_exits_internal(self, capsys, monkeypatch):
+        class FullStdout(io.StringIO):  # no descriptor to point at devnull
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        code = run(["solve", "--divisors", "2,3,9", "--herd", "17"])
+        assert code == cli.EXIT_INTERNAL
+        assert capsys.readouterr().err == FULL_STDOUT_ERROR
 
 
 def test_module_entry_point_matches_in_process_run():

@@ -1,6 +1,7 @@
 """One rule for bad input: every argument outside an operation's domain,
 non-integers included, raises InvalidInput with one message format."""
 
+import dataclasses
 from fractions import Fraction
 from functools import partial
 
@@ -11,6 +12,8 @@ from herdsplit import (
     LoanSolution,
     NotFoundWithinBound,
     SearchBounds,
+    ShareOverflow,
+    ShareSpec,
     feasible_herds,
     fractional_breakdown,
     oracle_solve,
@@ -47,6 +50,16 @@ def _herd_cases():
             "divisor True is not a positive integer",
             id="bool-divisor",
         ),
+        *(
+            pytest.param(
+                partial(build, bad),
+                f"divisors must be an iterable of integers, got {bad!r}",
+                id=f"{build.__name__}-{bad!r}",
+            )
+            for build, bad in [
+                (validate_spec, 5), (validate_spec, None), (ShareSpec, 17.0)
+            ]
+        ),
         *_herd_cases(),
         pytest.param(
             lambda: oracle_solve(CLASSIC, 17, 10.0),
@@ -72,6 +85,14 @@ def _herd_cases():
             lambda: SearchBounds(2, 6, 1.5),
             "max_loan must be an integer, got 1.5",
             id="max-loan",
+        ),
+        *(
+            pytest.param(
+                partial(SearchBounds, 2, 6, allow_duplicates=flag),
+                f"allow_duplicates must be a bool, got {flag!r}",
+                id=f"allow-duplicates-{flag!r}",
+            )
+            for flag in ["no", 1, 0, None]
         ),
         # rounds to 1.7e+18, a multiple of r = 17: in floats it would split, loan 1e+17
         pytest.param(
@@ -100,3 +121,14 @@ def test_int_arguments_keep_their_results():
         Fraction(1, 3),
         Fraction(1, 9),
     )
+
+
+def test_a_spec_has_one_checked_build():
+    spec = ShareSpec([2, 3, 9])
+    assert spec == validate_spec((2, 3, 9)) == CLASSIC
+    assert hash(spec) == hash(CLASSIC)
+    assert repr(spec) == "ShareSpec(divisors=(2, 3, 9))"
+    # replace runs the same build, so the (m, r) fold and its checks follow
+    assert dataclasses.replace(spec, divisors=(2, 3, 7)).fraction_sum.m == 42
+    with pytest.raises(ShareOverflow):
+        dataclasses.replace(spec, divisors=(2, 2))
