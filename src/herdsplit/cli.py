@@ -17,7 +17,10 @@ os.devnull, as the Python `signal` documentation recommends for SIGPIPE,
 and the command keeps its own exit code (0 for `herds`). Any other failed
 write to stdout, such as `> /dev/full`, exits 3 with its one "error:
 internal: ..." line, and stdout is pointed at os.devnull the same way so
-the flush at exit stays quiet.
+the flush at exit stays quiet. A diagnostic that stderr cannot take
+(`2> /dev/full`, or a closed pipe) is dropped the same way, and the
+command keeps its code: 2 for bad input or a usage error, 3 for an
+internal error.
 """
 
 import argparse
@@ -240,16 +243,28 @@ _DISPATCH = {
 }
 
 
-def _stdout_to_devnull() -> None:
-    """Point stdout's descriptor, if it has one, at os.devnull, so the
-    output still buffered cannot fail again in the flush at exit."""
+def _to_devnull(stream) -> None:
+    """Point a standard stream's descriptor, if it has one, at os.devnull,
+    so the output still buffered cannot fail again in the flush at exit."""
     try:
-        fd = sys.stdout.fileno()
+        fd = stream.fileno()
     except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
         return
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, fd)
     os.close(devnull)
+
+
+def _diagnose(code: int, line: str = "") -> int:
+    """Write a diagnostic line to stderr, flush what is there and return
+    code. A stderr that cannot take it is pointed at os.devnull: the code
+    stands."""
+    try:
+        sys.stderr.write(line)
+        sys.stderr.flush()
+    except OSError:
+        _to_devnull(sys.stderr)
+    return code
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -269,18 +284,18 @@ def run(argv: list[str] | None = None) -> int:
         sys.stdout.write(render(payload))
         sys.stdout.flush()
     except SystemExit as exc:  # argparse already wrote its diagnostic
-        return exc.code  # 0 after --help, 2 after a usage error
+        return _diagnose(exc.code)  # 0 after --help, 2 after a usage error
     except HerdsplitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _diagnose(EXIT_INVALID, f"error: {exc}\n")
     except BrokenPipeError:  # the reader is gone; the command's code stands
-        _stdout_to_devnull()
+        _to_devnull(sys.stdout)
         return code
     except Exception as exc:  # a crash must not read as "infeasible"
         if isinstance(exc, OSError):  # say, a full disk under stdout
-            _stdout_to_devnull()
-        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+            _to_devnull(sys.stdout)
+        return _diagnose(
+            EXIT_INTERNAL, f"error: internal: {type(exc).__name__}: {exc}\n"
+        )
     finally:
         sys.set_int_max_str_digits(limit)
     return code

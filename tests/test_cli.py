@@ -339,6 +339,67 @@ class TestInternalErrors:
         assert code == cli.EXIT_INTERNAL
         assert capsys.readouterr().err == FULL_STDOUT_ERROR
 
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    @pytest.mark.parametrize("err", [errno.ENOSPC, errno.EPIPE])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["solve", "--divisors", "2,3,9", "--herd", "0"], cli.EXIT_INVALID),
+            (["solve", "--divisors", "2,3,9"], cli.EXIT_INVALID),
+            (["check", "--divisors", "2,3,9"], cli.EXIT_INTERNAL),
+        ],
+        ids=["invalid", "usage", "internal"],
+    )
+    def test_a_failed_diagnostic_keeps_the_exit_code(
+        self, capsys, monkeypatch, method, err, argv, code
+    ):
+        # a buffered stderr is flushed inside run, so its failure cannot be
+        # left for the flush at exit
+        failures = []
+
+        class FailingStderr(io.StringIO):  # no descriptor to point at devnull
+            pass
+
+        def fail(*args):
+            failures.append(method)
+            raise OSError(err, os.strerror(err))
+
+        setattr(FailingStderr, method, fail)
+        monkeypatch.setitem(cli._DISPATCH, "check", _boom)
+        monkeypatch.setattr(sys, "stderr", FailingStderr())
+        assert run(argv) == code
+        assert set(failures) == {method}
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "herd, stdout_full, code",
+        [
+            (["--herd", "0"], False, cli.EXIT_INVALID),
+            ([], False, cli.EXIT_INVALID),
+            (["--herd", "17"], True, cli.EXIT_INTERNAL),
+        ],
+        ids=["invalid", "usage", "internal"],
+    )
+    def test_a_full_stderr_keeps_the_exit_code(
+        self, monkeypatch, unbuffered, herd, stdout_full, code
+    ):
+        # without the devnull redirect the flush at exit fails once more,
+        # and the process exits 120 with an "Exception ignored" message
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        if unbuffered:
+            monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "herdsplit", "solve", "--divisors", "2,3,9",
+                 *herd],
+                stdout=full if stdout_full else subprocess.PIPE, stderr=full,
+                timeout=60,
+            )
+        assert proc.returncode == code
+        assert not proc.stdout
+
 
 def test_module_entry_point_matches_in_process_run():
     proc = subprocess.run(

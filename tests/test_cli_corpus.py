@@ -88,6 +88,10 @@ def corpus_argvs():
         argvs += _both_formats(["generate", "--heirs", bad[0], "--max-divisor", bad[1]])
     argvs += _both_formats(["generate", "--heirs", "2", "--max-divisor", "6",
                             "--max-loan", "-1"])
+    # The loan cap, not the divisor cap, ends this search: the seven
+    # borrow-one puzzles of three heirs.
+    argvs += _both_formats(["generate", "--heirs", "3", "--max-divisor",
+                            "1000000000000", "--max-loan", "1"])
     return argvs
 
 

@@ -35,14 +35,42 @@ def brute_force_records(bounds):
 def brute_force_node_count(bounds):
     """Count the admissible prefixes directly: one node per placement."""
     pick = combinations_with_replacement if bounds.allow_duplicates else combinations
-    k, top = bounds.heirs, bounds.max_divisor
-    return sum(
-        sum(Fraction(1, s) for s in prefix) + Fraction(k - len(prefix), top) < 1
+    k, top, cap = bounds.heirs, bounds.max_divisor, bounds.max_loan
+
+    def admissible(prefix):
+        *before, s = prefix
+        later = k - len(prefix)
+        if sum(Fraction(1, d) for d in prefix) + Fraction(later, top) >= 1:
+            return False
         # distinct later divisors must still fit below top
-        and (bounds.allow_duplicates or prefix[-1] <= top - (k - len(prefix)))
+        if not bounds.allow_duplicates and s > top - later:
+            return False
+        if cap is None:
+            return True
+        # every later divisor is >= s, so the loan is at least
+        # s * (1 - sum(before)) - (later + 1)
+        short = 1 - sum(Fraction(1, d) for d in before)
+        if s * short > cap + later + 1:
+            return False
+        # on the last slot the loan is M * (s * short - 1) / gcd(M, s) with
+        # M = lcm(before), and gcd(M, s) <= s
+        m = math.lcm(*before)
+        return later > 0 or s * (short - Fraction(cap, m)) <= 1
+
+    return sum(
+        admissible(prefix)
         for length in range(1, k + 1)
         for prefix in pick(range(2, top + 1), length)
     )
+
+
+def assert_budget_is_the_node_count(bounds):
+    """The search fits a budget of exactly the admissible placement count."""
+    n = brute_force_node_count(bounds)
+    assert enumerate_specs(bounds, node_budget=n) == brute_force_records(bounds)
+    if n:
+        with pytest.raises(BoundsTooLarge):
+            enumerate_specs(bounds, node_budget=n - 1)
 
 
 class TestSearchBounds:
@@ -152,14 +180,20 @@ class TestEnumerate:
     def test_budget_is_the_admissible_placement_count(
         self, heirs, max_divisor, allow_duplicates
     ):
-        bounds = SearchBounds(
-            heirs=heirs, max_divisor=max_divisor, allow_duplicates=allow_duplicates
+        assert_budget_is_the_node_count(
+            SearchBounds(heirs, max_divisor, allow_duplicates=allow_duplicates)
         )
-        n = brute_force_node_count(bounds)
-        assert enumerate_specs(bounds, node_budget=n) == brute_force_records(bounds)
-        if n:
-            with pytest.raises(BoundsTooLarge):
-                enumerate_specs(bounds, node_budget=n - 1)
+
+    @pytest.mark.parametrize("heirs", [1, 2, 3, 4])
+    @pytest.mark.parametrize("max_divisor", [2, 3, 5, 9, 12, 16])
+    @pytest.mark.parametrize("allow_duplicates", [False, True])
+    @pytest.mark.parametrize("max_loan", [0, 1, 3])
+    def test_budget_is_the_placement_count_under_a_loan_cap(
+        self, heirs, max_divisor, allow_duplicates, max_loan
+    ):
+        assert_budget_is_the_node_count(
+            SearchBounds(heirs, max_divisor, max_loan, allow_duplicates)
+        )
 
     def test_oversized_span_raises_before_placing_anything(self, monkeypatch):
         calls = 0
@@ -190,11 +224,22 @@ class TestPinnedSearch:
     """Exact figures of the DFS, so a faster search must keep them."""
 
     def test_node_count_is_pinned(self):
-        # one node per admissible placement
+        # one node per admissible placement, with each span ended by the loan cap
         bounds = SearchBounds(heirs=5, max_divisor=40, max_loan=1)
         with pytest.raises(BoundsTooLarge):
-            enumerate_specs(bounds, node_budget=651949)
-        assert len(enumerate_specs(bounds, node_budget=651950)) == 170
+            enumerate_specs(bounds, node_budget=890)
+        assert len(enumerate_specs(bounds, node_budget=891)) == 170
+
+    def test_borrow_one_family_is_finite(self):
+        # the loan cap, not max_divisor, ends every span: five heirs that
+        # borrow one unit give 1,043 puzzles, the largest divisor 3,612
+        bounds = SearchBounds(heirs=5, max_divisor=10**12, max_loan=1)
+        with pytest.raises(BoundsTooLarge):
+            enumerate_specs(bounds, node_budget=13516)
+        records = enumerate_specs(bounds, node_budget=13517)
+        assert len(records) == 1043
+        assert max(rec.divisors[-1] for rec in records) == 3612
+        assert all(rec.minimal_loan == 1 for rec in records)
 
     def test_four_heirs_with_duplicates_match_brute_force(self):
         bounds = SearchBounds(heirs=4, max_divisor=30, allow_duplicates=True)
