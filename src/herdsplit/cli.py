@@ -11,21 +11,17 @@ through `_json` (integers as decimal strings, rationals as reduced
 order, one "label: value" line each. The bulk `herds` and `puzzles` rows
 come pre-encoded.
 
-If the reader closes the pipe early (`herdsplit herds ... | head -1`), the
-rest of the output is dropped without a traceback: stdout is pointed at
-os.devnull, as the Python `signal` documentation recommends for SIGPIPE,
-and the command keeps its own exit code (0 for `herds`). Any other failed
-write to stdout, such as `> /dev/full`, exits 3 with its one "error:
-internal: ..." line, and stdout is pointed at os.devnull the same way so
-the flush at exit stays quiet. A diagnostic that stderr cannot take
-(`2> /dev/full`, or a closed pipe) is dropped the same way, and the
-command keeps its code: 2 for bad input or a usage error, 3 for an
-internal error.
+`_execute` computes the exit code and both texts, argparse's included, and
+`run` then writes each stream once. A stdout that cannot take its text
+makes the code 3, unless the reader is gone (`| head -1`); a failed stderr
+keeps the code. A failed stream is pointed at os.devnull.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import functools
+import io
 import os
 import sys
 from fractions import Fraction
@@ -255,49 +251,53 @@ def _to_devnull(stream) -> None:
     os.close(devnull)
 
 
-def _diagnose(code: int, line: str = "") -> int:
-    """Write a diagnostic line to stderr, flush what is there and return
-    code. A stderr that cannot take it is pointed at os.devnull: the code
-    stands."""
-    try:
-        sys.stderr.write(line)
-        sys.stderr.flush()
-    except OSError:
-        _to_devnull(sys.stderr)
-    return code
+def _internal(exc: Exception) -> str:
+    return f"error: internal: {type(exc).__name__}: {exc}\n"
 
 
-def run(argv: list[str] | None = None) -> int:
-    """Parse argv, execute, print to the standard streams, return exit code.
+def _execute(argv: list[str] | None) -> tuple[int, str, str]:
+    """Return argv's exit code, stdout text and stderr text; write nothing.
 
     CPython's int<->str digit limit is lifted for the call and restored
-    after it: lcms of long divisor lists and herds given on the command
-    line can exceed 4300 digits, and an argv must exit the same way in
-    process as from the console script.
+    after it: lcms and herds from the command line can pass 4300 digits,
+    and an argv must exit the same way in process as from the console script.
     """
+    out, err = io.StringIO(), io.StringIO()
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = build_parser().parse_args(argv)
         render = to_json if args.format == "json" else to_text
         code, payload = _DISPATCH[args.command](args)
-        sys.stdout.write(render(payload))
-        sys.stdout.flush()
-    except SystemExit as exc:  # argparse already wrote its diagnostic
-        return _diagnose(exc.code)  # 0 after --help, 2 after a usage error
+        return code, render(payload), ""
+    except SystemExit as exc:  # 0 after --help, 2 after a usage error
+        return exc.code, out.getvalue(), err.getvalue()
     except HerdsplitError as exc:
-        return _diagnose(EXIT_INVALID, f"error: {exc}\n")
-    except BrokenPipeError:  # the reader is gone; the command's code stands
-        _to_devnull(sys.stdout)
-        return code
+        return EXIT_INVALID, "", f"error: {exc}\n"
     except Exception as exc:  # a crash must not read as "infeasible"
-        if isinstance(exc, OSError):  # say, a full disk under stdout
-            _to_devnull(sys.stdout)
-        return _diagnose(
-            EXIT_INTERNAL, f"error: internal: {type(exc).__name__}: {exc}\n"
-        )
+        return EXIT_INTERNAL, "", _internal(exc)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def run(argv: list[str] | None = None) -> int:
+    """Execute argv, write stdout and then stderr once each, return the code."""
+    code, out, err = _execute(argv)
+    if out:
+        try:
+            sys.stdout.write(out)
+            sys.stdout.flush()
+        except (OSError, AttributeError) as exc:  # stdout is None if fd 1 is closed
+            _to_devnull(sys.stdout)
+            if not isinstance(exc, BrokenPipeError):  # else the reader is gone
+                code, err = EXIT_INTERNAL, err + _internal(exc)
+    if err:
+        try:
+            sys.stderr.write(err)
+            sys.stderr.flush()
+        except (OSError, AttributeError):  # nowhere to say it; the code stands
+            _to_devnull(sys.stderr)
     return code
 
 

@@ -51,7 +51,65 @@ def _boom(args):
     raise RuntimeError("kaboom")
 
 
+SOLVE_17 = ["solve", "--divisors", "2,3,9", "--herd", "17"]
 FULL_STDOUT_ERROR = "error: internal: OSError: [Errno 28] No space left on device\n"
+NO_STDOUT_ERROR = (
+    "error: internal: AttributeError: 'NoneType' object has no attribute 'write'\n"
+)
+
+# outcome -> argv; the "check" command is replaced by _boom
+STREAM_OUTCOMES = {
+    "help": ["--help"],
+    "ok": SOLVE_17,
+    "infeasible": ["solve", "--divisors", "2,3,9", "--herd", "16"],
+    "invalid": ["solve", "--divisors", "2,3,9", "--herd", "0"],
+    "usage": ["solve", "--divisors", "2,3,9"],
+    "internal": ["check", "--divisors", "2,3,9"],
+}
+# (failing method, errno), or None for a stream that is None (fd closed)
+STREAM_FAILURES = [
+    (method, err) for err in (errno.ENOSPC, errno.EPIPE) for method in ("write", "flush")
+] + [None]
+FAILURE_IDS = [f"{f[1]}-{f[0]}" if f else "none" for f in STREAM_FAILURES]
+
+
+class FailingStream(io.StringIO):  # no descriptor to point at devnull
+    """A stream whose `method` raises OSError(err); it records every write
+    and flush called on it."""
+
+    def __init__(self, method, err):
+        super().__init__()
+        self.method, self.err, self.calls = method, err, []
+
+    def _call(self, name):
+        self.calls.append(name)
+        if name == self.method:
+            raise OSError(self.err, os.strerror(self.err))
+
+    def write(self, text):
+        self._call("write")
+        return super().write(text)
+
+    def flush(self):
+        self._call("flush")
+
+
+def _run_with_a_failed_stream(capsys, monkeypatch, stream, outcome, failure):
+    """Run an outcome's argv once as is and once with `stream` failing.
+    Return the first run's code, stdout and stderr, and the second run's
+    (code, stdout, stderr) as the other stream saw them. Check that the
+    failing stream was touched only when it had text to take."""
+    monkeypatch.setitem(cli._DISPATCH, "check", _boom)
+    argv = STREAM_OUTCOMES[outcome]
+    code, out, err = invoke(capsys, argv)
+    text = out if stream == "stdout" else err
+    fake = failure and FailingStream(*failure)
+    monkeypatch.setattr(sys, stream, fake)
+    got = invoke(capsys, argv)
+    if fake:
+        tried = ["write"] if fake.method == "write" else ["write", "flush"]
+        assert fake.calls == (tried if text else [])
+    return code, out, err, got
 
 
 class TestSpecExamples:
@@ -313,8 +371,14 @@ class TestInternalErrors:
         assert err == "error: internal: RuntimeError: kaboom\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-    def test_a_full_stdout_exits_internal_with_one_line(self, monkeypatch, unbuffered):
+    @pytest.mark.parametrize(
+        "argv, unbuffered",
+        [(SOLVE_17, True), (SOLVE_17, False), (["--help"], True), (["--help"], False)],
+        ids=["unbuffered", "buffered", "help-unbuffered", "help-buffered"],
+    )
+    def test_a_full_stdout_exits_internal_with_one_line(
+        self, monkeypatch, argv, unbuffered
+    ):
         # unbuffered, the write fails; buffered, the flush does, and without
         # the devnull redirect the flush at exit would fail once more
         monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
@@ -322,54 +386,59 @@ class TestInternalErrors:
             monkeypatch.setenv("PYTHONUNBUFFERED", "1")
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
-                [sys.executable, "-m", "herdsplit", "solve", "--divisors", "2,3,9",
-                 "--herd", "17"],
+                [sys.executable, "-m", "herdsplit", *argv],
                 stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
             )
         assert proc.returncode == cli.EXIT_INTERNAL
         assert proc.stderr == FULL_STDOUT_ERROR
 
-    def test_a_failed_stdout_write_exits_internal(self, capsys, monkeypatch):
-        class FullStdout(io.StringIO):  # no descriptor to point at devnull
-            def write(self, text):
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(sys, "stdout", FullStdout())
-        code = run(["solve", "--divisors", "2,3,9", "--herd", "17"])
-        assert code == cli.EXIT_INTERNAL
-        assert capsys.readouterr().err == FULL_STDOUT_ERROR
-
-    @pytest.mark.parametrize("method", ["write", "flush"])
-    @pytest.mark.parametrize("err", [errno.ENOSPC, errno.EPIPE])
+    @pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs /bin/sh")
     @pytest.mark.parametrize(
-        "argv, code",
+        "argv, code, stderr",
         [
-            (["solve", "--divisors", "2,3,9", "--herd", "0"], cli.EXIT_INVALID),
-            (["solve", "--divisors", "2,3,9"], cli.EXIT_INVALID),
-            (["check", "--divisors", "2,3,9"], cli.EXIT_INTERNAL),
+            (["--help"], cli.EXIT_INTERNAL, NO_STDOUT_ERROR),
+            (SOLVE_17, cli.EXIT_INTERNAL, NO_STDOUT_ERROR),
+            (["solve", "--divisors", "2,3,9", "--herd", "0"], cli.EXIT_INVALID,
+             "error: herd must be >= 1, got 0\n"),
         ],
-        ids=["invalid", "usage", "internal"],
+        ids=["help", "ok", "invalid"],
     )
+    def test_a_closed_stdout_descriptor(self, argv, code, stderr):
+        # with fd 1 closed, sys.stdout is None; a code with no stdout text
+        # never touches it
+        proc = subprocess.run(
+            ["/bin/sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m",
+             "herdsplit", *argv],
+            stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (code, stderr)
+
+    # The in-process stream matrix: each outcome x each standard stream x
+    # each way a stream can fail. A stream with no text is never touched.
+    @pytest.mark.parametrize("failure", STREAM_FAILURES, ids=FAILURE_IDS)
+    @pytest.mark.parametrize("outcome", STREAM_OUTCOMES)
+    def test_a_failed_stdout_exits_internal_unless_the_reader_is_gone(
+        self, capsys, monkeypatch, outcome, failure
+    ):
+        code, out, err, failed = _run_with_a_failed_stream(
+            capsys, monkeypatch, "stdout", outcome, failure
+        )
+        if out and (failure is None or failure[1] != errno.EPIPE):
+            internal = FULL_STDOUT_ERROR if failure else NO_STDOUT_ERROR
+            code, err = cli.EXIT_INTERNAL, err + internal
+        assert failed == (code, "", err)
+
+    @pytest.mark.parametrize("failure", STREAM_FAILURES, ids=FAILURE_IDS)
+    @pytest.mark.parametrize("outcome", STREAM_OUTCOMES)
     def test_a_failed_diagnostic_keeps_the_exit_code(
-        self, capsys, monkeypatch, method, err, argv, code
+        self, capsys, monkeypatch, outcome, failure
     ):
         # a buffered stderr is flushed inside run, so its failure cannot be
         # left for the flush at exit
-        failures = []
-
-        class FailingStderr(io.StringIO):  # no descriptor to point at devnull
-            pass
-
-        def fail(*args):
-            failures.append(method)
-            raise OSError(err, os.strerror(err))
-
-        setattr(FailingStderr, method, fail)
-        monkeypatch.setitem(cli._DISPATCH, "check", _boom)
-        monkeypatch.setattr(sys, "stderr", FailingStderr())
-        assert run(argv) == code
-        assert set(failures) == {method}
-        assert capsys.readouterr().out == ""
+        code, out, _, failed = _run_with_a_failed_stream(
+            capsys, monkeypatch, "stderr", outcome, failure
+        )
+        assert failed == (code, out, "")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
