@@ -29,7 +29,7 @@ class SearchBounds:
             require_int("max_loan", self.max_loan, 0)
         if type(self.allow_duplicates) is not bool:
             raise InvalidInput(
-                f"allow_duplicates must be a bool, got {self.allow_duplicates!r}"
+                "allow_duplicates must be a bool, got {!r}", self.allow_duplicates
             )
 
 
@@ -71,6 +71,7 @@ def enumerate_specs(
     admissible placement is one node; a span is charged whole when its slot
     opens, and exceeding the budget raises.
     """
+    require_int("node_budget", node_budget, 0)
     top, loan_cap = bounds.max_divisor, bounds.max_loan
     gap = 0 if bounds.allow_duplicates else 1
     records: list[PuzzleRecord] = []

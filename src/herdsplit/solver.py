@@ -65,13 +65,13 @@ class ShareSpec:
             divisors = tuple(self.divisors)
         except TypeError:
             raise InvalidInput(
-                f"divisors must be an iterable of integers, got {self.divisors!r}"
+                "divisors must be an iterable of integers, got {!r}", self.divisors
             ) from None
         if not divisors:
             raise InvalidInput("at least one divisor is required")
         for s in divisors:
             if type(s) is not int or s < 1:
-                raise InvalidInput(f"divisor {s!r} is not a positive integer")
+                raise InvalidInput("divisor {!r} is not a positive integer", s)
         m, r = _m_and_r(divisors)
         fs = FractionSum(m=m, r=r, reduced=Fraction(r, m))
         if r >= m:  # sum(1/s_i) = r/m

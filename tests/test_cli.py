@@ -350,68 +350,12 @@ class TestInternalErrors:
         assert proc.stdout == ""
         assert proc.stderr == "error: internal: RuntimeError: kaboom\n"
 
-    def test_oversized_generate_exits_two_before_any_output(self):
-        # the first slot alone would place 10**12 - 1 divisors
-        proc = subprocess.run(
-            [sys.executable, "-m", "herdsplit", "generate", "--heirs", "1",
-             "--max-divisor", "1000000000000"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.count("\n") == 1 and "node budget" in proc.stderr
-
     def test_unexpected_exception_exits_internal(self, capsys, monkeypatch):
         monkeypatch.setitem(cli._DISPATCH, "check", _boom)
         code, out, err = invoke(capsys, ["check", "--divisors", "2,3,9"])
         assert code == cli.EXIT_INTERNAL == 3
         assert out == ""
         assert err == "error: internal: RuntimeError: kaboom\n"
-
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize(
-        "argv, unbuffered",
-        [(SOLVE_17, True), (SOLVE_17, False), (["--help"], True), (["--help"], False)],
-        ids=["unbuffered", "buffered", "help-unbuffered", "help-buffered"],
-    )
-    def test_a_full_stdout_exits_internal_with_one_line(
-        self, monkeypatch, argv, unbuffered
-    ):
-        # unbuffered, the write fails; buffered, the flush does, and without
-        # the devnull redirect the flush at exit would fail once more
-        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
-        if unbuffered:
-            monkeypatch.setenv("PYTHONUNBUFFERED", "1")
-        with open("/dev/full", "w") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "herdsplit", *argv],
-                stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
-            )
-        assert proc.returncode == cli.EXIT_INTERNAL
-        assert proc.stderr == FULL_STDOUT_ERROR
-
-    @pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs /bin/sh")
-    @pytest.mark.parametrize(
-        "argv, code, stderr",
-        [
-            (["--help"], cli.EXIT_INTERNAL, NO_STDOUT_ERROR),
-            (SOLVE_17, cli.EXIT_INTERNAL, NO_STDOUT_ERROR),
-            (["solve", "--divisors", "2,3,9", "--herd", "0"], cli.EXIT_INVALID,
-             "error: herd must be >= 1, got 0\n"),
-        ],
-        ids=["help", "ok", "invalid"],
-    )
-    def test_a_closed_stdout_descriptor(self, argv, code, stderr):
-        # with fd 1 closed, sys.stdout is None; a code with no stdout text
-        # never touches it
-        proc = subprocess.run(
-            ["/bin/sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m",
-             "herdsplit", *argv],
-            stderr=subprocess.PIPE, text=True, timeout=60,
-        )
-        assert (proc.returncode, proc.stderr) == (code, stderr)
 
     # The in-process stream matrix: each outcome x each standard stream x
     # each way a stream can fail. A stream with no text is never touched.
@@ -439,47 +383,6 @@ class TestInternalErrors:
             capsys, monkeypatch, "stderr", outcome, failure
         )
         assert failed == (code, out, "")
-
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-    @pytest.mark.parametrize(
-        "herd, stdout_full, code",
-        [
-            (["--herd", "0"], False, cli.EXIT_INVALID),
-            ([], False, cli.EXIT_INVALID),
-            (["--herd", "17"], True, cli.EXIT_INTERNAL),
-        ],
-        ids=["invalid", "usage", "internal"],
-    )
-    def test_a_full_stderr_keeps_the_exit_code(
-        self, monkeypatch, unbuffered, herd, stdout_full, code
-    ):
-        # without the devnull redirect the flush at exit fails once more,
-        # and the process exits 120 with an "Exception ignored" message
-        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
-        if unbuffered:
-            monkeypatch.setenv("PYTHONUNBUFFERED", "1")
-        with open("/dev/full", "w") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "herdsplit", "solve", "--divisors", "2,3,9",
-                 *herd],
-                stdout=full if stdout_full else subprocess.PIPE, stderr=full,
-                timeout=60,
-            )
-        assert proc.returncode == code
-        assert not proc.stdout
-
-
-def test_module_entry_point_matches_in_process_run():
-    proc = subprocess.run(
-        [sys.executable, "-m", "herdsplit", "solve", "--divisors", "2,3,9",
-         "--herd", "17", "--format", "json"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == SOLVE_17_JSON
-    assert proc.stderr == ""
 
 
 def _lifted_digit_limit(fn):
@@ -510,42 +413,22 @@ HUGE_HERD_SOLVE = ["solve", "--divisors", "2,3,9", "--herd", HUGE_HERD,
                    "--format", "json"]
 
 
-def _assert_lcm_800_payload(stdout):
+def assert_lcm_800_payload(stdout):
     m = json.loads(stdout)["m"]
     assert len(m) > 4300
     assert m == _lifted_digit_limit(lambda: str(math.lcm(*PRIMES_800)))
 
 
-def _assert_huge_herd_payload(stdout):
+def assert_huge_herd_payload(stdout):
     payload = json.loads(stdout)
     assert payload["herd"] == HUGE_HERD
     assert payload["loan"] == "1" + "0" * 4400
 
 
-def test_entry_point_prints_an_lcm_past_the_int_str_digit_limit():
-    proc = subprocess.run(
-        [sys.executable, "-m", "herdsplit", *LCM_800_CHECK],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    _assert_lcm_800_payload(proc.stdout)
-
-
-def test_entry_point_accepts_a_herd_past_the_int_str_digit_limit():
-    proc = subprocess.run(
-        [sys.executable, "-m", "herdsplit", *HUGE_HERD_SOLVE],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    _assert_huge_herd_payload(proc.stdout)
-
-
 @pytest.mark.parametrize(
     "argv, check",
-    [(LCM_800_CHECK, _assert_lcm_800_payload),
-     (HUGE_HERD_SOLVE, _assert_huge_herd_payload)],
+    [(LCM_800_CHECK, assert_lcm_800_payload),
+     (HUGE_HERD_SOLVE, assert_huge_herd_payload)],
     ids=["lcm-800-primes", "herd-4402-digits"],
 )
 def test_run_in_process_exits_as_the_entry_point_past_the_digit_limit(

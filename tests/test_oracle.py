@@ -27,6 +27,8 @@ class TestOracleExamples:
         sol = oracle_solve(validate_spec(CLASSIC), 17, 100)
         assert isinstance(sol, LoanSolution)
         assert (sol.loan, sol.shares) == (1, (9, 6, 2))
+        # a far hit, 10**15 values out, is reached by stride skips, not a walk
+        assert oracle_solve(validate_spec(CLASSIC), 17 * 10**15, 10**16).loan == 10**15
 
     def test_sixteen_has_no_loan_within_a_thousand(self):
         result = oracle_solve(validate_spec(CLASSIC), 16, 1000)
