@@ -1,10 +1,13 @@
-"""`herds` output against an independent reference, and an argv fuzzer
-over the whole CLI grammar."""
+"""What holds for every argv, in process: `assert_contract` checks it for
+an argv fuzzer over the whole CLI grammar and for a table of fixed argvs
+with their exit codes. `herds` output is checked against an independent
+reference."""
 
 import contextlib
 import io
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -84,11 +87,6 @@ class TestHerdsListing:
         argv = ["herds", "--divisors", "3", "--limit", "10", "--format", fmt]
         assert run_cli(argv) == (0, herds_reference((3,), 10, fmt), "")
 
-    def test_invalid_spec_writes_nothing(self):
-        argv = ["herds", "--divisors", "2,3,6", "--limit", "1000000000"]
-        code, out, err = run_cli(argv)
-        assert code == 2 and out == "" and err
-
 
 divisor_text = st.lists(st.integers(-1, 40), max_size=5).map(
     lambda d: ",".join(map(str, d))
@@ -123,6 +121,43 @@ def argvs(draw):
     return [command, *opts]
 
 
+def _leaves(node):
+    if isinstance(node, dict):
+        node = node.values()
+    elif not isinstance(node, list):
+        return [node]
+    return [leaf for child in node for leaf in _leaves(child)]
+
+
+def assert_contract(argv):
+    """Run argv in process, check what must hold for every argv, and return
+    its exit code, stdout and stderr.
+
+    The code is 0, 1 or 2; stdout is empty iff the code is 2, and stderr is
+    empty iff it is not. JSON output re-serialises to the same bytes and
+    holds no number, only strings, bools and nulls. `herds` output equals
+    `herds_reference`.
+    """
+    code, out, err = run_cli(argv)
+    assert code in (0, 1, 2)
+    assert (out == "") == (code == 2)
+    assert (err == "") == (code != 2)
+    if "--help" in argv:
+        assert code == 0
+        return code, out, err
+    if code != 2 and argv[-2:] == ["--format", "json"]:
+        payload = json.loads(out)
+        assert json.dumps(payload, indent=2) + "\n" == out
+        assert all(leaf is None or isinstance(leaf, (str, bool))
+                   for leaf in _leaves(payload))
+    if code == 0 and argv[0] == "herds":
+        divisors = [int(s) for s in argv[argv.index("--divisors") + 1].split(",")]
+        limit = int(argv[argv.index("--limit") + 1])
+        fmt = "json" if argv[-1] == "json" else "text"
+        assert out == herds_reference(divisors, limit, fmt)
+    return code, out, err
+
+
 @given(argvs())
 @example(["herds", "--divisors", "2,3,9", "--limit", "10000", "--format", "json"])
 @example(["herds", "--divisors", "2", "--limit", "10000"])
@@ -130,17 +165,51 @@ def argvs(draw):
 @example(["solve", "--divisors", "", "--herd", "17"])
 @settings(max_examples=200, deadline=None)
 def test_argv_fuzz_keeps_the_exit_code_contract(argv):
-    code, out, err = run_cli(argv)
-    assert code in (0, 1, 2)
-    if "--help" in argv:
-        assert code == 0 and out
-        return
-    assert (out == "") == (code == 2)
-    assert (err == "") == (code != 2)
-    if code != 2 and argv[-2:] == ["--format", "json"]:
-        assert json.dumps(json.loads(out), indent=2) + "\n" == out
-    if code == 0 and argv[0] == "herds":
-        divisors = [int(s) for s in argv[argv.index("--divisors") + 1].split(",")]
-        limit = int(argv[argv.index("--limit") + 1])
-        fmt = "json" if argv[-1] == "json" else "text"
-        assert out == herds_reference(divisors, limit, fmt)
+    assert_contract(argv)
+
+
+CLASSIC = ["--divisors", "2,3,9"]
+# name -> (argv, exit code). An argv with output runs again with
+# `--format json`: the same code, and the same numbers as the text.
+FIXED = {
+    "check": (["check", *CLASSIC], 0),
+    "solve-17": (["solve", *CLASSIC, "--herd", "17"], 0),
+    "solve-16": (["solve", *CLASSIC, "--herd", "16"], 1),
+    "solve-57": (["solve", "--divisors", "3,4,5,6", "--herd", "57"], 0),
+    "solve-quartet-50": (["solve", "--divisors", "3,6,9,12", "--herd", "50"], 0),
+    "herds-60": (["herds", *CLASSIC, "--limit", "60"], 0),
+    "herds-10": (["herds", *CLASSIC, "--limit", "10"], 0),
+    "breakdown-17": (["breakdown", *CLASSIC, "--herd", "17"], 0),
+    "breakdown-16": (["breakdown", *CLASSIC, "--herd", "16"], 0),
+    "breakdown-57": (["breakdown", "--divisors", "3,4,5,6", "--herd", "57"], 0),
+    "generate-borrow-one": (
+        ["generate", "--heirs", "3", "--max-divisor", "9", "--max-loan", "1"], 0
+    ),
+    "generate-quartets": (
+        ["generate", "--heirs", "4", "--max-divisor", "12", "--max-loan", "11"], 0
+    ),
+    "generate-none": (["generate", "--heirs", "2", "--max-divisor", "2"], 0),
+    "explain-17": (["explain", *CLASSIC, "--herd", "17"], 0),
+    "explain-16": (["explain", *CLASSIC, "--herd", "16"], 1),
+    "explain-quartet-50": (["explain", "--divisors", "3,6,9,12", "--herd", "50"], 0),
+    "herd-0": (["solve", *CLASSIC, "--herd", "0"], 2),
+    "divisor-0": (["solve", "--divisors", "0", "--herd", "17"], 2),
+    "divisor-x": (["solve", "--divisors", "2,x,9", "--herd", "17"], 2),
+    "missing-herd": (["solve", *CLASSIC], 2),
+    "unknown-command": (["conquer"], 2),
+    "format-xml": (["check", *CLASSIC, "--format", "xml"], 2),
+}
+# text prints the raw share 16/2 as "8", JSON as {"num": "8", "den": "1"}
+NUMBERS_DIFFER = {"breakdown-16"}
+
+
+@pytest.mark.parametrize("name", FIXED)
+def test_a_fixed_argv_keeps_the_contract(name):
+    argv, code = FIXED[name]
+    got, text, _ = assert_contract(argv)
+    assert got == code
+    if code != 2:
+        got, as_json, _ = assert_contract([*argv, "--format", "json"])
+        assert got == code
+        if name not in NUMBERS_DIFFER:
+            assert set(re.findall(r"\d+", text)) == set(re.findall(r"\d+", as_json))

@@ -20,13 +20,12 @@ import pytest
 
 from test_cli import (
     FULL_STDOUT_ERROR,
-    GENERATE_TEXT,
     GOLDEN,
     HUGE_HERD_SOLVE,
     LCM_800_CHECK,
     NO_STDOUT_ERROR,
+    SOLVE_16_TEXT,
     SOLVE_17,
-    SOLVE_17_JSON,
     assert_huge_herd_payload,
     assert_lcm_800_payload,
 )
@@ -58,6 +57,7 @@ def _prints_count(n):
     return check
 
 
+SOLVE_17_JSON = (GOLDEN / "solve_feasible_json.txt").read_text()
 SOLVE_0 = ["solve", "--divisors", "2,3,9", "--herd", "0"]
 HERD_0_ERROR = "error: herd must be >= 1, got 0\n"
 DIVISOR_0_ERROR = "error: divisor 0 is not a positive integer\n"
@@ -71,7 +71,10 @@ HERDS = ["herds", "--divisors", "2,3,9", "--limit"]
 
 CASES = {
     "solve-json": Case(SOLVE_17_AS_JSON, 0, out=SOLVE_17_JSON),
-    "generate": Case(GENERATE, 0, out=GENERATE_TEXT),
+    "infeasible": Case(
+        ["solve", "--divisors", "2,3,9", "--herd", "16"], 1, out=SOLVE_16_TEXT
+    ),
+    "generate": Case(GENERATE, 0, out=(GOLDEN / "generate.txt").read_text()),
     # with duplicates (gap 0) the search must still advance and end
     "generate-duplicates": Case([*GENERATE, "--duplicates"], 0, out=_prints_count(11)),
     # distinct divisors that cannot fit end the search at once

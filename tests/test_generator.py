@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from herdsplit.errors import BoundsTooLarge, InvalidInput
+from herdsplit.errors import BoundsTooLarge
 from herdsplit.generator import PuzzleRecord, SearchBounds, enumerate_specs
 from herdsplit.solver import _m_and_r, _m_and_r_step, solve, validate_spec
 
@@ -64,41 +64,34 @@ def brute_force_node_count(bounds):
     )
 
 
-def assert_budget_is_the_node_count(bounds):
-    """The search fits a budget of exactly the admissible placement count."""
-    n = brute_force_node_count(bounds)
-    assert enumerate_specs(bounds, node_budget=n) == brute_force_records(bounds)
-    if n:
-        with pytest.raises(BoundsTooLarge):
-            enumerate_specs(bounds, node_budget=n - 1)
-
-
-class TestSearchBounds:
-    def test_heirs_must_be_positive(self):
-        with pytest.raises(InvalidInput):
-            SearchBounds(heirs=0, max_divisor=9)
-
-    def test_max_divisor_must_be_at_least_two(self):
-        with pytest.raises(InvalidInput):
-            SearchBounds(heirs=3, max_divisor=1)
-
-    def test_max_loan_must_be_nonnegative(self):
-        with pytest.raises(InvalidInput):
-            SearchBounds(heirs=3, max_divisor=9, max_loan=-1)
+def on_the_grid(test):
+    """Run ``test`` on every bound of heirs 1-4 x max_divisor x max_loan x
+    duplicates: 240 bounds, each checked against the brute force above."""
+    test = pytest.mark.parametrize("allow_duplicates", [False, True])(test)
+    test = pytest.mark.parametrize("max_loan", [None, 0, 1, 3, 11])(test)
+    test = pytest.mark.parametrize("max_divisor", [2, 3, 5, 9, 12, 16])(test)
+    return pytest.mark.parametrize("heirs", [1, 2, 3, 4])(test)
 
 
 class TestEnumerate:
-    def test_three_heirs_borrow_one(self):
-        records = enumerate_specs(SearchBounds(heirs=3, max_divisor=9, max_loan=1))
-        assert [rec.divisors for rec in records] == [
-            (2, 3, 7),
-            (2, 3, 8),
-            (2, 3, 9),
-            (2, 4, 5),
-            (2, 4, 6),
-            (2, 4, 8),
-        ]
-        assert all(rec.minimal_loan == 1 for rec in records)
+    @on_the_grid
+    def test_matches_brute_force(self, heirs, max_divisor, max_loan, allow_duplicates):
+        """The records, sorted and unique, under the default node budget."""
+        bounds = SearchBounds(heirs, max_divisor, max_loan, allow_duplicates)
+        assert enumerate_specs(bounds) == brute_force_records(bounds)
+
+    @on_the_grid
+    def test_budget_is_the_placement_count(
+        self, heirs, max_divisor, max_loan, allow_duplicates
+    ):
+        """A budget of exactly the admissible placement count is enough, and
+        one node less raises."""
+        bounds = SearchBounds(heirs, max_divisor, max_loan, allow_duplicates)
+        n = brute_force_node_count(bounds)
+        enumerate_specs(bounds, node_budget=n)
+        if n:
+            with pytest.raises(BoundsTooLarge):
+                enumerate_specs(bounds, node_budget=n - 1)
 
     def test_contains_the_classic_triple(self):
         records = enumerate_specs(SearchBounds(heirs=3, max_divisor=9, max_loan=1))
@@ -140,25 +133,6 @@ class TestEnumerate:
         with pytest.raises(BoundsTooLarge):
             enumerate_specs(bounds, node_budget=10**5)
 
-    @pytest.mark.parametrize("heirs", [1, 2, 3, 4])
-    @pytest.mark.parametrize("max_divisor", [2, 3, 5, 9, 12, 16])
-    @pytest.mark.parametrize("max_loan", [None, 0, 1, 3, 11])
-    @pytest.mark.parametrize("allow_duplicates", [False, True])
-    def test_matches_brute_force(self, heirs, max_divisor, max_loan, allow_duplicates):
-        bounds = SearchBounds(
-            heirs=heirs,
-            max_divisor=max_divisor,
-            max_loan=max_loan,
-            allow_duplicates=allow_duplicates,
-        )
-        assert enumerate_specs(bounds) == brute_force_records(bounds)
-
-    def test_output_is_sorted_and_unique(self):
-        records = enumerate_specs(SearchBounds(heirs=3, max_divisor=12))
-        tuples = [rec.divisors for rec in records]
-        assert tuples == sorted(tuples)
-        assert len(tuples) == len(set(tuples))
-
     def test_every_record_round_trips_through_solve(self):
         records = enumerate_specs(
             SearchBounds(heirs=3, max_divisor=12, allow_duplicates=True)
@@ -169,31 +143,6 @@ class TestEnumerate:
             sol = solve(validate_spec(rec.divisors), rec.minimal_herd)
             assert sol.loan == rec.minimal_loan
             assert sol.shares == tuple(rec.m // s for s in rec.divisors)
-
-    def test_node_budget_is_enforced(self):
-        with pytest.raises(BoundsTooLarge):
-            enumerate_specs(SearchBounds(heirs=3, max_divisor=12), node_budget=5)
-
-    @pytest.mark.parametrize("heirs", [1, 2, 3, 4])
-    @pytest.mark.parametrize("max_divisor", [2, 3, 5, 9, 12, 16])
-    @pytest.mark.parametrize("allow_duplicates", [False, True])
-    def test_budget_is_the_admissible_placement_count(
-        self, heirs, max_divisor, allow_duplicates
-    ):
-        assert_budget_is_the_node_count(
-            SearchBounds(heirs, max_divisor, allow_duplicates=allow_duplicates)
-        )
-
-    @pytest.mark.parametrize("heirs", [1, 2, 3, 4])
-    @pytest.mark.parametrize("max_divisor", [2, 3, 5, 9, 12, 16])
-    @pytest.mark.parametrize("allow_duplicates", [False, True])
-    @pytest.mark.parametrize("max_loan", [0, 1, 3])
-    def test_budget_is_the_placement_count_under_a_loan_cap(
-        self, heirs, max_divisor, allow_duplicates, max_loan
-    ):
-        assert_budget_is_the_node_count(
-            SearchBounds(heirs, max_divisor, max_loan, allow_duplicates)
-        )
 
     def test_oversized_span_raises_before_placing_anything(self, monkeypatch):
         calls = 0
@@ -212,12 +161,6 @@ class TestEnumerate:
         # 1200 distinct divisors in 2..1201 must start at 2, but a sum below
         # 1 needs the first past 600, so the first span is empty
         assert enumerate_specs(SearchBounds(1200, 1201), node_budget=1) == []
-
-    def test_generous_budget_is_enough(self):
-        records = enumerate_specs(
-            SearchBounds(heirs=3, max_divisor=12), node_budget=10**5
-        )
-        assert records == brute_force_records(SearchBounds(heirs=3, max_divisor=12))
 
 
 class TestPinnedSearch:

@@ -1,8 +1,6 @@
 """The oracle's loan scan against an independent unit-step scan."""
 
 import ast
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -160,31 +158,6 @@ def test_empty_or_non_positive_divisors_are_rejected():
         for bound in (-1, 0, 12):
             with pytest.raises(ValueError, match="divisors must be integers >= 1"):
                 scan_first_loan(3, bound, divisors)
-
-
-NO_NUMPY = """
-import sys
-sys.modules["numpy"] = None  # any `import numpy` now raises ImportError
-
-from herdsplit import cli
-from herdsplit.solver import NotFoundWithinBound, oracle_solve, validate_spec
-
-spec = validate_spec((2, 3, 9))
-sol = oracle_solve(spec, 17, 100)
-assert (sol.loan, sol.shares) == (1, (9, 6, 2)), sol
-herd = 2**62 + 17
-assert oracle_solve(spec, herd, 1000) == NotFoundWithinBound(herd=herd, bound=1000)
-sys.exit(cli.run(["solve", "--divisors", "2,3,9", "--herd", "17"]))
-"""
-
-
-def test_the_oracle_and_cli_run_without_numpy():
-    proc = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY], capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
-    assert "loan: 1\n" in proc.stdout and "shares: 9, 6, 2\n" in proc.stdout
 
 
 def test_the_scan_shares_nothing_with_the_closed_form():
