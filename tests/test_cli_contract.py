@@ -8,13 +8,14 @@ import io
 import json
 import math
 import re
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from herdsplit import cli
+
+from references import valid_divisors
 
 COMMANDS = ("check", "solve", "herds", "breakdown", "generate", "explain")
 
@@ -51,14 +52,9 @@ def herds_reference(divisors, limit, fmt):
     return "\n".join(lines) + "\n"
 
 
-valid_divisors = st.lists(st.integers(2, 40), min_size=1, max_size=5).filter(
-    lambda d: sum(Fraction(1, s) for s in d) < 1
-)
-
-
 class TestHerdsListing:
     @given(
-        valid_divisors,
+        valid_divisors(max_divisor=40),
         st.sampled_from(["r - 1", "r", "r + 1", "k * r"]),
         st.integers(0, 10**4),
         st.sampled_from(["text", "json"]),

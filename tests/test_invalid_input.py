@@ -41,6 +41,21 @@ def _herd_cases():
     "call, message",
     [
         pytest.param(
+            lambda: validate_spec(()),
+            "at least one divisor is required",
+            id="no-divisor",
+        ),
+        pytest.param(
+            lambda: validate_spec((2, 0, 5)),
+            "divisor 0 is not a positive integer",
+            id="zero-divisor",
+        ),
+        pytest.param(
+            lambda: validate_spec((2, -3)),
+            "divisor -3 is not a positive integer",
+            id="negative-divisor",
+        ),
+        pytest.param(
             lambda: validate_spec((2.0, 3, 9)),
             "divisor 2.0 is not a positive integer",
             id="float-divisor",
