@@ -3,8 +3,6 @@ failed streams, the int<->str digit limit, and the modules a command loads."""
 
 import errno
 import io
-import json
-import math
 import os
 import subprocess
 import sys
@@ -177,63 +175,6 @@ class TestInternalErrors:
             capsys, monkeypatch, "stderr", outcome, failure
         )
         assert failed == (code, out, "")
-
-
-def _lifted_digit_limit(fn):
-    """Run fn with CPython's int<->str digit limit lifted, then restore it."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return fn()
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
-def _seven_digit_primes(count):
-    primes = []
-    n = 1000003
-    while len(primes) < count:
-        if all(n % d for d in range(2, math.isqrt(n) + 1)):
-            primes.append(n)
-        n += 2
-    return primes
-
-
-PRIMES_800 = _seven_digit_primes(800)
-LCM_800_CHECK = ["check", "--divisors", ",".join(map(str, PRIMES_800)),
-                 "--format", "json"]
-HUGE_HERD = "17" + "0" * 4400
-HUGE_HERD_SOLVE = ["solve", "--divisors", "2,3,9", "--herd", HUGE_HERD,
-                   "--format", "json"]
-
-
-def assert_lcm_800_payload(stdout):
-    m = json.loads(stdout)["m"]
-    assert len(m) > 4300
-    assert m == _lifted_digit_limit(lambda: str(math.lcm(*PRIMES_800)))
-
-
-def assert_huge_herd_payload(stdout):
-    payload = json.loads(stdout)
-    assert payload["herd"] == HUGE_HERD
-    assert payload["loan"] == "1" + "0" * 4400
-
-
-@pytest.mark.parametrize(
-    "argv, check",
-    [(LCM_800_CHECK, assert_lcm_800_payload),
-     (HUGE_HERD_SOLVE, assert_huge_herd_payload)],
-    ids=["lcm-800-primes", "herd-4402-digits"],
-)
-def test_run_in_process_exits_as_the_entry_point_past_the_digit_limit(
-    capsys, argv, check
-):
-    limit = sys.get_int_max_str_digits()
-    code, out, err = invoke(capsys, argv)
-    assert (code, err) == (0, "")
-    check(out)
-    # the lift lasts for the call only; the caller's limit comes back
-    assert sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.parametrize(

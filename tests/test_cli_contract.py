@@ -1,13 +1,14 @@
-"""What holds for every argv, in process: `assert_contract` checks it for
-an argv fuzzer over the whole CLI grammar and for a table of fixed argvs
-with their exit codes. `herds` output is checked against an independent
-reference."""
+"""What holds for every argv, in process. `assert_contract` checks the
+exit code, the streams, the JSON leaves and the `herds` rows; it runs on
+an argv fuzzer over the whole CLI grammar, on the usage errors in `USAGE`,
+and on every argv of the bytes corpus (`test_cli_corpus.py`). A property
+test checks `herds` output against `herds_reference`, which is built
+apart from the CLI."""
 
 import contextlib
 import io
 import json
 import math
-import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -71,17 +72,6 @@ class TestHerdsListing:
         argv = ["herds", "--divisors", ",".join(map(str, divisors)),
                 "--limit", str(limit), "--format", fmt]
         assert run_cli(argv) == (0, herds_reference(divisors, limit, fmt), "")
-
-    @pytest.mark.parametrize("limit", [100_000, 0, -5, 16, 17, 34])
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_classic_limits(self, limit, fmt):
-        argv = ["herds", "--divisors", "2,3,9", "--limit", str(limit), "--format", fmt]
-        assert run_cli(argv) == (0, herds_reference((2, 3, 9), limit, fmt), "")
-
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_single_divisor(self, fmt):
-        argv = ["herds", "--divisors", "3", "--limit", "10", "--format", fmt]
-        assert run_cli(argv) == (0, herds_reference((3,), 10, fmt), "")
 
 
 divisor_text = st.lists(st.integers(-1, 40), max_size=5).map(
@@ -164,48 +154,18 @@ def test_argv_fuzz_keeps_the_exit_code_contract(argv):
     assert_contract(argv)
 
 
-CLASSIC = ["--divisors", "2,3,9"]
-# name -> (argv, exit code). An argv with output runs again with
-# `--format json`: the same code, and the same numbers as the text.
-FIXED = {
-    "check": (["check", *CLASSIC], 0),
-    "solve-17": (["solve", *CLASSIC, "--herd", "17"], 0),
-    "solve-16": (["solve", *CLASSIC, "--herd", "16"], 1),
-    "solve-57": (["solve", "--divisors", "3,4,5,6", "--herd", "57"], 0),
-    "solve-quartet-50": (["solve", "--divisors", "3,6,9,12", "--herd", "50"], 0),
-    "herds-60": (["herds", *CLASSIC, "--limit", "60"], 0),
-    "herds-10": (["herds", *CLASSIC, "--limit", "10"], 0),
-    "breakdown-17": (["breakdown", *CLASSIC, "--herd", "17"], 0),
-    "breakdown-16": (["breakdown", *CLASSIC, "--herd", "16"], 0),
-    "breakdown-57": (["breakdown", "--divisors", "3,4,5,6", "--herd", "57"], 0),
-    "generate-borrow-one": (
-        ["generate", "--heirs", "3", "--max-divisor", "9", "--max-loan", "1"], 0
-    ),
-    "generate-quartets": (
-        ["generate", "--heirs", "4", "--max-divisor", "12", "--max-loan", "11"], 0
-    ),
-    "generate-none": (["generate", "--heirs", "2", "--max-divisor", "2"], 0),
-    "explain-17": (["explain", *CLASSIC, "--herd", "17"], 0),
-    "explain-16": (["explain", *CLASSIC, "--herd", "16"], 1),
-    "explain-quartet-50": (["explain", "--divisors", "3,6,9,12", "--herd", "50"], 0),
-    "herd-0": (["solve", *CLASSIC, "--herd", "0"], 2),
-    "divisor-0": (["solve", "--divisors", "0", "--herd", "17"], 2),
-    "divisor-x": (["solve", "--divisors", "2,x,9", "--herd", "17"], 2),
-    "missing-herd": (["solve", *CLASSIC], 2),
-    "unknown-command": (["conquer"], 2),
-    "format-xml": (["check", *CLASSIC, "--format", "xml"], 2),
+# argparse rejects each: the code is 2, and stderr starts with the usage.
+# The corpus leaves these out, since argparse wording moves between Python
+# versions.
+USAGE = {
+    "divisor-x": ["solve", "--divisors", "2,x,9", "--herd", "17"],
+    "missing-herd": ["solve", "--divisors", "2,3,9"],
+    "unknown-command": ["conquer"],
+    "format-xml": ["check", "--divisors", "2,3,9", "--format", "xml"],
 }
-# text prints the raw share 16/2 as "8", JSON as {"num": "8", "den": "1"}
-NUMBERS_DIFFER = {"breakdown-16"}
 
 
-@pytest.mark.parametrize("name", FIXED)
-def test_a_fixed_argv_keeps_the_contract(name):
-    argv, code = FIXED[name]
-    got, text, _ = assert_contract(argv)
-    assert got == code
-    if code != 2:
-        got, as_json, _ = assert_contract([*argv, "--format", "json"])
-        assert got == code
-        if name not in NUMBERS_DIFFER:
-            assert set(re.findall(r"\d+", text)) == set(re.findall(r"\d+", as_json))
+@pytest.mark.parametrize("name", USAGE)
+def test_a_usage_error_keeps_the_contract(name):
+    code, _, err = assert_contract(USAGE[name])
+    assert code == 2 and err.startswith("usage:")

@@ -1,26 +1,35 @@
-"""The CLI bytes corpus: every argv in `golden/cli_corpus.txt` must give
-the recorded exit code, stdout and stderr.
+"""The CLI bytes corpus, the one in-process record of each argv it holds:
+every argv in `golden/cli_corpus.txt` must keep the contract of
+`test_cli_contract.assert_contract` and give the recorded exit code,
+stdout and stderr.
 
 Each line of the file is the sha256 of `json.dumps([code, stdout,
-stderr])`, a space, and the argv as a JSON list. `corpus_argvs` builds
-the list; the file must hold exactly that list, in order, so a change to
-the corpus or to any output is a visible edit to one file. argparse usage
-errors and help text are left out: their wording moves between Python
-versions, and the `help*.txt` goldens pin the help for the CI version.
+stderr])`, a space, and the argv as a JSON list. Each line is one test id,
+named by its line number and command (`0412-solve`). `corpus_argvs`
+builds the list; the file must hold exactly that list, in order, so a
+change to the corpus or to any output is a visible edit to one file.
+A text argv and its `--format json` twin give the same code and stderr,
+and unless the code is 2 the JSON holds every number of the text.
+argparse usage errors and help text are left out: their wording moves
+between Python versions. `USAGE` in `test_cli_contract.py` checks the
+contract on four usage errors, and the `help*.txt` goldens pin the help
+for the CI version.
 
 After an intended change to the output, rewrite the file with
 `PYTHONPATH=src python tests/test_cli_corpus.py` and review its diff.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
-from herdsplit import cli
+import pytest
+
+from references import LCM_800_CHECK
+from test_cli_contract import assert_contract, run_cli
 
 CORPUS = Path(__file__).parent / "golden" / "cli_corpus.txt"
 
@@ -92,43 +101,68 @@ def corpus_argvs():
     # borrow-one puzzles of three heirs.
     argvs += _both_formats(["generate", "--heirs", "3", "--max-divisor",
                             "1000000000000", "--max-loan", "1"])
+    # The paper's listing and puzzles: herds of 2,3,9 to 60, the borrow-one
+    # and quartet searches, and searches with no tuple and with no loan cap.
+    argvs += _both_formats(["herds", "--divisors", "2,3,9", "--limit", "60"])
+    for heirs, top, loan in ((3, 9, ["--max-loan", "1"]), (4, 12, ["--max-loan", "11"]),
+                             (2, 2, []), (2, 6, [])):
+        argvs += _both_formats(["generate", "--heirs", str(heirs),
+                                "--max-divisor", str(top), *loan])
+    # An lcm of 4802 digits, past CPython's 4300-digit limit.
+    argvs.append(LCM_800_CHECK)
     return argvs
 
 
-def outcome_digest(argv):
-    """sha256 of (exit code, stdout, stderr) of one in-process `cli.run`."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.run(argv)
-    outcome = json.dumps([code, out.getvalue(), err.getvalue()])
-    return hashlib.sha256(outcome.encode()).hexdigest()
+def digest(outcome):
+    """sha256 of an (exit code, stdout, stderr) outcome."""
+    return hashlib.sha256(json.dumps(outcome).encode()).hexdigest()
 
 
 def read_corpus():
     entries = []
     for line in CORPUS.read_text().splitlines():
-        digest, argv = line.split(" ", 1)
-        entries.append((digest, json.loads(argv)))
+        recorded, argv = line.split(" ", 1)
+        entries.append((recorded, json.loads(argv)))
     return entries
 
 
+ENTRIES = read_corpus()
+ARGVS = {tuple(argv) for _, argv in ENTRIES}
+
+
+def assert_the_formats_agree(text, as_json):
+    """A text argv's outcome and its JSON twin's have the same code and
+    stderr. Unless the code is 2, every number of the text is in the JSON,
+    which adds at most "1": the denominator of a whole share."""
+    code, out, err = text
+    assert (as_json[0], as_json[2]) == (code, err)
+    if code != 2:
+        numbers = set(re.findall(r"\d+", out))
+        assert numbers <= set(re.findall(r"\d+", as_json[1])) <= numbers | {"1"}
+
+
 def test_corpus_lists_the_built_argvs():
-    assert [argv for _, argv in read_corpus()] == corpus_argvs()
+    assert [argv for _, argv in ENTRIES] == corpus_argvs()
 
 
-def test_every_argv_gives_the_recorded_bytes():
-    for digest, argv in read_corpus():
-        assert outcome_digest(argv) == digest, f"output changed for {argv}"
+@pytest.mark.parametrize(
+    "recorded, argv",
+    ENTRIES,
+    ids=[f"{n:04d}-{argv[0]}" for n, (_, argv) in enumerate(ENTRIES, 1)],
+)
+def test_every_argv_gives_the_recorded_bytes(recorded, argv):
+    outcome = assert_contract(argv)
+    assert digest(outcome) == recorded, "output changed"
+    if argv[-2:] == ["--format", "json"] and tuple(argv[:-2]) in ARGVS:
+        assert_the_formats_agree(run_cli(argv[:-2]), outcome)
 
 
 if __name__ == "__main__":
     lines = []
     for argv in corpus_argvs():
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            cli.run(argv)
-        if err.getvalue().startswith("usage:"):
+        outcome = run_cli(argv)
+        if outcome[2].startswith("usage:"):
             sys.exit(f"argparse rejects {argv}; the corpus leaves usage errors out")
-        lines.append(f"{outcome_digest(argv)} {json.dumps(argv)}\n")
+        lines.append(f"{digest(outcome)} {json.dumps(argv)}\n")
     CORPUS.write_text("".join(lines))
     print(f"wrote {len(lines)} argvs to {CORPUS}")

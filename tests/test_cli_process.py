@@ -18,17 +18,13 @@ from typing import NamedTuple
 
 import pytest
 
-from test_cli import (
-    FULL_STDOUT_ERROR,
-    GOLDEN,
+from references import (
     HUGE_HERD_SOLVE,
     LCM_800_CHECK,
-    NO_STDOUT_ERROR,
-    SOLVE_16_TEXT,
-    SOLVE_17,
     assert_huge_herd_payload,
     assert_lcm_800_payload,
 )
+from test_cli import FULL_STDOUT_ERROR, GOLDEN, NO_STDOUT_ERROR, SOLVE_16_TEXT, SOLVE_17
 
 LAUNCHERS = {"module": [sys.executable, "-m", "herdsplit"]}
 SCRIPT = Path(sysconfig.get_path("scripts"), "herdsplit")
