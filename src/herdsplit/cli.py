@@ -7,7 +7,8 @@ Results go to stdout only; diagnostics go to stderr only. Each command
 returns a payload of plain values (ints, Fractions, bools, None, tuples),
 and rendering encodes them once: `to_json` passes each top-level value
 through `_json` (integers as decimal strings, rationals as reduced
-{"num", "den"} pairs), and `to_text` lists the same fields in the same
+{"num", "den"} pairs, told apart by their denominator, so printing never
+imports `fractions`), and `to_text` lists the same fields in the same
 order, one "label: value" line each. The bulk `herds` and `puzzles` rows
 come pre-encoded.
 
@@ -19,12 +20,10 @@ keeps the code. A failed stream is pointed at os.devnull.
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import io
 import os
 import sys
-from fractions import Fraction
 
 from . import generator, solver
 from .errors import HerdsplitError
@@ -148,21 +147,24 @@ def to_text(payload: dict) -> str:
 
 
 def _json(value):
-    """The one JSON encoding of a result value: a Fraction becomes a reduced
-    {"num", "den"} pair, a tuple a list, an int (not a bool) a decimal string
-    so consumers never overflow; anything else is already JSON."""
-    if isinstance(value, Fraction):
-        return {"num": str(value.numerator), "den": str(value.denominator)}
+    """The one JSON encoding of a result value: a tuple becomes a list, an
+    int (not a bool) a decimal string so consumers never overflow, and a
+    Fraction a reduced {"num", "den"} pair; anything else is already JSON.
+    A Fraction is told by its denominator, so encoding never imports it."""
     if isinstance(value, tuple):
         return [_json(v) for v in value]
-    if isinstance(value, int) and not isinstance(value, bool):
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int):
         return str(value)
+    if hasattr(value, "denominator"):
+        return {"num": str(value.numerator), "den": str(value.denominator)}
     return value
 
 
 def _fields(result) -> dict:
-    """A result dataclass's fields in declaration order."""
-    return {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    """A result record's fields in declaration order."""
+    return {name: getattr(result, name) for name in result._fields}
 
 
 def _spec_fields(spec: solver.ShareSpec) -> dict:

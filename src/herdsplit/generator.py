@@ -5,43 +5,50 @@ its smallest feasible herd r and the loan m - r that herd needs. The
 classic one-borrowed-unit puzzles are exactly those with m - r = 1.
 """
 
-from dataclasses import dataclass
-
 from .errors import BoundsTooLarge, InvalidInput, require_int
-from .solver import _m_and_r_step
+from .solver import _m_and_r_step, _record
 
 DEFAULT_NODE_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
+@_record
 class SearchBounds:
     """Search box: exact heir count, divisor cap, optional loan cap."""
 
-    heirs: int
-    max_divisor: int
-    max_loan: int | None = None  # None = unbounded
-    allow_duplicates: bool = False
+    __slots__ = ("heirs", "max_divisor", "max_loan", "allow_duplicates")
 
-    def __post_init__(self):
-        require_int("heirs", self.heirs, 1)
-        require_int("max_divisor", self.max_divisor, 2)
-        if self.max_loan is not None:
-            require_int("max_loan", self.max_loan, 0)
-        if type(self.allow_duplicates) is not bool:
+    def __init__(
+        self,
+        heirs: int,
+        max_divisor: int,
+        max_loan: int | None = None,  # None = unbounded
+        allow_duplicates: bool = False,
+    ):
+        require_int("heirs", heirs, 1)
+        require_int("max_divisor", max_divisor, 2)
+        if max_loan is not None:
+            require_int("max_loan", max_loan, 0)
+        if type(allow_duplicates) is not bool:
             raise InvalidInput(
-                "allow_duplicates must be a bool, got {!r}", self.allow_duplicates
+                "allow_duplicates must be a bool, got {!r}", allow_duplicates
             )
+        for name, value in zip(
+            self._fields, (heirs, max_divisor, max_loan, allow_duplicates)
+        ):
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
+@_record
 class PuzzleRecord:
     """A canonical divisor tuple with its minimal feasible instance."""
 
-    divisors: tuple[int, ...]  # nondecreasing
-    r: int
-    m: int
-    minimal_herd: int  # == r
-    minimal_loan: int  # == m - r, always >= 1
+    __slots__ = (
+        "divisors",  # nondecreasing
+        "r",
+        "m",
+        "minimal_herd",  # == r
+        "minimal_loan",  # == m - r, always >= 1
+    )
 
 
 def enumerate_specs(

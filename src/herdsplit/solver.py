@@ -15,22 +15,112 @@ raw entitlements N/s_i leave a leftover of N*(m - r)/m, and the per-heir
 top-ups x/s_i absorb it exactly.
 """
 
+import functools
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import _kernels
 from .errors import InvalidInput, ShareOverflow, require_int
 
 
-@dataclass(frozen=True)
+@functools.cache  # fractions loads on the first Fraction built, not at import
+def _fraction_class():
+    from fractions import Fraction
+
+    return Fraction
+
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _record_values(self) -> tuple:
+    return tuple([getattr(self, f) for f in self._fields])
+
+
+def _record_hash(self):
+    return hash(_record_values(self))
+
+
+def _record_repr(self):
+    shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+    return f"{type(self).__qualname__}({shown})"
+
+
+def _record_reduce(self):  # copy and pickle rebuild through the checked __init__
+    return type(self), _record_values(self)
+
+
+_RECORD_METHODS = (
+    "__init__",
+    "__eq__",
+    "__hash__",
+    "__repr__",
+    "__reduce__",
+    "__setattr__",
+    "__delattr__",
+)
+
+
+def _record(cls):
+    """Finish a slotted class as an immutable record of its fields.
+
+    The fields are the class's `_fields` when it names them, else its
+    `__slots__`. Like a frozen dataclass, the record is built from its
+    fields by position or keyword, shows them in its repr, compares them
+    with `==` only against its own class, hashes them, and raises
+    AttributeError on assignment or deletion. A method the class defines
+    is kept.
+    """
+    fields = getattr(cls, "_fields", cls.__slots__)
+    cls._fields = cls.__match_args__ = fields
+    mine = "".join(f"self.{f}," for f in fields)
+    theirs = "".join(f"other.{f}," for f in fields)
+    source = (
+        "def __eq__(self, other):\n"
+        " if other.__class__ is self.__class__:\n"
+        f"  return ({mine}) == ({theirs})\n"
+        " return NotImplemented\n"
+    )
+    if "__init__" not in cls.__dict__:
+        source += f"def __init__(self, {', '.join(fields)}):\n" + "".join(
+            f" _set(self, {f!r}, {f})\n" for f in fields
+        )
+    namespace = {
+        "_set": object.__setattr__,
+        "__hash__": _record_hash,
+        "__repr__": _record_repr,
+        "__reduce__": _record_reduce,
+        "__setattr__": _frozen_setattr,
+        "__delattr__": _frozen_delattr,
+    }
+    exec(source, namespace)  # as dataclasses does, so == costs what it does there
+    for name in _RECORD_METHODS:
+        if name not in cls.__dict__:
+            setattr(cls, name, namespace[name])
+    return cls
+
+
+@_record
 class FractionSum:
     """The share sum written over the lcm denominator, unreduced."""
 
-    m: int  # lcm of the divisors
-    r: int  # sum of m // s_i; feasible herds are the positive multiples
-    reduced: Fraction  # r/m in lowest terms
+    __slots__ = (
+        "m",  # lcm of the divisors
+        "r",  # sum of m // s_i; feasible herds are the positive multiples
+    )
+
+    @property
+    def reduced(self):
+        """r/m in lowest terms, built when read, so a spec builds no Fraction."""
+        return _fraction_class()(self.r, self.m)
+
+    def __repr__(self):
+        return f"FractionSum(m={self.m!r}, r={self.r!r}, reduced={self.reduced!r})"
 
 
 def _m_and_r_step(m: int, r: int, s: int) -> tuple[int, int]:
@@ -50,22 +140,23 @@ def _m_and_r(divisors: tuple[int, ...]) -> tuple[int, int]:
     return m, r
 
 
-@dataclass(frozen=True)
+@_record
 class ShareSpec:
     """Validated divisor list: heir i gets 1/divisors[i], input order kept.
 
     Only constructible when the unit fractions sum to strictly less than 1.
+    `fraction_sum` stays out of repr, == and hash.
     """
 
-    divisors: tuple[int, ...]
-    fraction_sum: FractionSum = field(init=False, repr=False, compare=False)
+    _fields = ("divisors",)
+    __slots__ = ("divisors", "fraction_sum")
 
-    def __post_init__(self):
+    def __init__(self, divisors: Iterable[int]):
         try:
-            divisors = tuple(self.divisors)
+            divisors = tuple(divisors)
         except TypeError:
             raise InvalidInput(
-                "divisors must be an iterable of integers, got {!r}", self.divisors
+                "divisors must be an iterable of integers, got {!r}", divisors
             ) from None
         if not divisors:
             raise InvalidInput("at least one divisor is required")
@@ -73,49 +164,54 @@ class ShareSpec:
             if type(s) is not int or s < 1:
                 raise InvalidInput("divisor {!r} is not a positive integer", s)
         m, r = _m_and_r(divisors)
-        fs = FractionSum(m=m, r=r, reduced=Fraction(r, m))
+        fs = FractionSum(m, r)
         if r >= m:  # sum(1/s_i) = r/m
             raise ShareOverflow(fs.reduced)
         object.__setattr__(self, "divisors", divisors)
         object.__setattr__(self, "fraction_sum", fs)
 
 
-@dataclass(frozen=True)
+@_record
 class LoanSolution:
     """A feasible split: borrow `loan`, divide `augmented`, return `loan`."""
 
-    herd: int
-    loan: int
-    augmented: int  # herd + loan = multiplier * m
-    multiplier: int  # herd // r
-    shares: tuple[int, ...]  # shares[i] * s_i == augmented; sum == herd
+    __slots__ = (
+        "herd",
+        "loan",
+        "augmented",  # herd + loan = multiplier * m
+        "multiplier",  # herd // r
+        "shares",  # shares[i] * s_i == augmented; sum == herd
+    )
 
 
-@dataclass(frozen=True)
+@_record
 class Infeasible:
     """Diagnosis for a herd that is not a multiple of r."""
 
-    herd: int
-    r: int
-    nearest_below: int | None  # largest feasible herd < herd, if any
-    nearest_above: int  # smallest feasible herd > herd
+    __slots__ = (
+        "herd",
+        "r",
+        "nearest_below",  # largest feasible herd < herd, or None
+        "nearest_above",  # smallest feasible herd > herd
+    )
 
 
-@dataclass(frozen=True)
+@_record
 class NotFoundWithinBound:
     """A bounded brute-force scan found no working loan."""
 
-    herd: int
-    bound: int
+    __slots__ = ("herd", "bound")
 
 
-@dataclass(frozen=True)
+@_record
 class FractionalBreakdown:
-    """Exact fractional view of a division attempt."""
+    """Exact fractional view of a division attempt, in Fractions."""
 
-    raw_shares: tuple[Fraction, ...]  # herd / s_i
-    leftover: Fraction  # herd - sum(raw_shares) = herd*(m - r)/m
-    topups: tuple[Fraction, ...]  # loan / s_i when feasible, else empty
+    __slots__ = (
+        "raw_shares",  # herd / s_i
+        "leftover",  # herd - sum(raw_shares) = herd*(m - r)/m
+        "topups",  # loan / s_i when feasible, else empty
+    )
 
 
 def validate_spec(divisors: Iterable[int]) -> ShareSpec:
@@ -178,6 +274,7 @@ def fractional_breakdown(spec: ShareSpec, herd: int) -> FractionalBreakdown:
     the top-up list is empty when the herd is infeasible, since the
     leftover only decomposes into loan/s_i terms when a loan exists.
     """
+    Fraction = _fraction_class()
     fs = spec.fraction_sum
     loan = _loan(fs, herd)
     raw = tuple(Fraction(herd, s) for s in spec.divisors)
@@ -194,11 +291,12 @@ def oracle_solve(
 
     The scan (`_kernels.scan_first_loan`) uses none of the closed form
     above; it agrees with `solve` whenever the true loan lies within the
-    bound. It jumps over the strides whose share total provably stays
-    below the herd (one stride of max(s_i) adds at most
-    sum(ceil(max(s_i) / s_i)) to the total), so a far loan costs
-    O(log herd) totals plus at most one lcm-period of strides, not
-    loan / max(s_i) strides.
+    bound. Over the multiples of max(s_i) the share total strictly
+    increases, so only the first multiple whose total reaches the herd can
+    split it. The scan jumps to that multiple over the strides whose total
+    provably stays below the herd (one stride of max(s_i) adds at most
+    sum(ceil(max(s_i) / s_i)) to the total), in O(log herd) totals however
+    far the loan, and then tests that one candidate.
     """
     require_int("herd", herd, 1)
     require_int("loan_bound", loan_bound)

@@ -219,7 +219,8 @@ sys.path.insert(0, sys.argv[1])
 sys.path.append(sys.argv[2])
 from herdsplit.cli import run
 code = run(sys.argv[3:])
-print(*sorted({"json", "numpy", "typing"} & sys.modules.keys()), file=sys.stderr)
+watched = {"dataclasses", "fractions", "inspect", "json", "numpy", "typing"}
+print(*sorted(watched & sys.modules.keys()), file=sys.stderr)
 sys.exit(code)
 """
 
@@ -229,9 +230,11 @@ sys.exit(code)
     [
         (["solve", "--divisors", "2,3,9", "--herd", "16"], 1, SOLVE_16_TEXT, ""),
         (["check", "--divisors", "2,3,9", "--format", "json"], 0,
-         (GOLDEN / "check_json.txt").read_text(), "json"),
+         (GOLDEN / "check_json.txt").read_text(), "fractions json"),
+        (["breakdown", "--divisors", "2,3,9", "--herd", "17"], 0,
+         (GOLDEN / "breakdown_feasible.txt").read_text(), "fractions"),
     ],
-    ids=["text-solve", "json-check"],
+    ids=["text-solve", "json-check", "text-breakdown"],
 )
 def test_a_command_loads_only_the_modules_it_uses(argv, code, stdout, loaded):
     src = str(Path(__file__).parent.parent / "src")

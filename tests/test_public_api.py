@@ -1,10 +1,24 @@
-"""The package's public surface: every exported name, and the retired ones."""
+"""The package's public surface: every exported name, the retired ones, and
+the contract every result record keeps."""
 
+import copy
 import importlib
+import pickle
+from fractions import Fraction
 
 import pytest
 
 import herdsplit
+from herdsplit import (
+    FractionalBreakdown,
+    FractionSum,
+    Infeasible,
+    LoanSolution,
+    NotFoundWithinBound,
+    PuzzleRecord,
+    SearchBounds,
+    ShareSpec,
+)
 
 
 def test_every_exported_name_resolves_once():
@@ -71,3 +85,62 @@ def test_retired_names_are_gone_from_their_modules_too():
 def test_arith_module_is_gone():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("herdsplit.arith")
+
+
+# record class, its fields by keyword, and its repr as a frozen dataclass gave it
+RECORDS = [
+    (ShareSpec, {"divisors": (2, 3, 9)}, "ShareSpec(divisors=(2, 3, 9))"),
+    (FractionSum, {"m": 18, "r": 17}, "FractionSum(m=18, r=17, reduced=Fraction(17, 18))"),
+    (
+        LoanSolution,
+        {"herd": 17, "loan": 1, "augmented": 18, "multiplier": 1, "shares": (9, 6, 2)},
+        "LoanSolution(herd=17, loan=1, augmented=18, multiplier=1, shares=(9, 6, 2))",
+    ),
+    (
+        Infeasible,
+        {"herd": 16, "r": 17, "nearest_below": None, "nearest_above": 17},
+        "Infeasible(herd=16, r=17, nearest_below=None, nearest_above=17)",
+    ),
+    (
+        NotFoundWithinBound,
+        {"herd": 17, "bound": -1},
+        "NotFoundWithinBound(herd=17, bound=-1)",
+    ),
+    (
+        FractionalBreakdown,
+        {"raw_shares": (Fraction(17, 2),), "leftover": Fraction(17, 18), "topups": ()},
+        "FractionalBreakdown(raw_shares=(Fraction(17, 2),), "
+        "leftover=Fraction(17, 18), topups=())",
+    ),
+    (
+        SearchBounds,
+        {"heirs": 3, "max_divisor": 9},
+        "SearchBounds(heirs=3, max_divisor=9, max_loan=None, allow_duplicates=False)",
+    ),
+    (
+        PuzzleRecord,
+        {"divisors": (2, 3, 9), "r": 17, "m": 18, "minimal_herd": 17, "minimal_loan": 1},
+        "PuzzleRecord(divisors=(2, 3, 9), r=17, m=18, minimal_herd=17, minimal_loan=1)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, text", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS]
+)
+def test_a_record_is_a_frozen_value(cls, fields, text):
+    record = cls(*fields.values())
+    assert repr(record) == text
+    same = cls(**fields)
+    assert same == record and not same != record
+    assert hash(same) == hash(record) and len({same, record}) == 1
+    assert copy.deepcopy(record) == record == pickle.loads(pickle.dumps(record))
+    # == holds only within one class: not with a tuple, nor a subclass's twin
+    twin = type("Twin", (cls,), {"__slots__": ()})(**fields)
+    assert record != tuple(fields.values()) and record != twin and twin != record
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert repr(record) == text
