@@ -5,12 +5,11 @@ Exit codes: 0 = success/feasible, 1 = valid input but infeasible herd,
 3 = internal error (one "error: internal: ..." line on stderr, no stdout).
 Results go to stdout only; diagnostics go to stderr only. Each command
 returns a payload of plain values (ints, Fractions, bools, None, tuples),
-and rendering encodes them once: `to_json` passes each top-level value
-through `_json` (integers as decimal strings, rationals as reduced
-{"num", "den"} pairs, told apart by their denominator, so printing never
-imports `fractions`), and `to_text` lists the same fields in the same
-order, one "label: value" line each. The bulk `herds` and `puzzles` rows
-come pre-encoded.
+and `_execute` passes each through `_json` once (integers as decimal
+strings, rationals as reduced {"num", "den"} pairs told by their
+denominator, so printing never imports `fractions`; the `herds` and
+`puzzles` rows are encoded as they are built). `to_json` and `to_text`
+print that one encoded payload, the text as one "label: value" line per field.
 
 `_execute` computes the exit code and both texts, argparse's included, and
 `run` then writes each stream once. A stdout that cannot take its text
@@ -90,10 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def to_json(payload: dict) -> str:
-    """Canonical JSON rendering; reparsing and re-rendering is byte-stable."""
+    """Canonical JSON of an encoded payload; re-rendering its parse is byte-stable."""
     import json  # here, not at the top: text output never loads it
 
-    return json.dumps({k: _json(v) for k, v in payload.items()}, indent=2) + "\n"
+    return json.dumps(payload, indent=2) + "\n"
 
 
 # Text output lists the payload's fields in order as "label: value" lines;
@@ -112,13 +111,16 @@ _BLOCKS = {
 
 
 def _text_value(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "yes" if value else "no"
     if value is None:
         return "none"
-    if isinstance(value, tuple):
+    if isinstance(value, list):
         return ", ".join(map(_text_value, value)) or "none"
-    return str(value)
+    num, den = value["num"], value["den"]  # a rational
+    return num if den == "1" else f"{num}/{den}"
 
 
 def _text_row(row) -> str:
@@ -128,7 +130,7 @@ def _text_row(row) -> str:
 
 
 def to_text(payload: dict) -> str:
-    """Text rendering of the same payload `to_json` renders."""
+    """Text rendering of the same encoded payload `to_json` renders."""
     lines = []
     for key, value in payload.items():
         if key in _BLOCKS:
@@ -147,16 +149,16 @@ def to_text(payload: dict) -> str:
 
 
 def _json(value):
-    """The one JSON encoding of a result value: a tuple becomes a list, an
-    int (not a bool) a decimal string so consumers never overflow, and a
-    Fraction a reduced {"num", "den"} pair; anything else is already JSON.
-    A Fraction is told by its denominator, so encoding never imports it."""
+    """The one encoding of a result value, tested in this order: an int
+    becomes a decimal string so consumers never overflow, a tuple a list, a
+    bool itself, and a Fraction, told by its denominator so encoding never
+    imports it, a reduced {"num", "den"} pair; anything else is already JSON."""
+    if type(value) is int:
+        return str(value)
     if isinstance(value, tuple):
         return [_json(v) for v in value]
     if isinstance(value, bool):
         return value
-    if isinstance(value, int):
-        return str(value)
     if hasattr(value, "denominator"):
         return {"num": str(value.numerator), "den": str(value.denominator)}
     return value
@@ -198,9 +200,7 @@ def _cmd_herds(args):
     rows = solver.feasible_herds(spec, args.limit)
     payload = _spec_fields(spec)
     payload["limit"] = args.limit
-    # str() per value, not _json: on the 294k-row herds JSON benchmark, _json
-    # per value made the process 19% slower (8% with an int fast path)
-    payload["herds"] = [{"herd": str(h), "loan": str(x)} for h, x in rows]
+    payload["herds"] = [{"herd": _json(h), "loan": _json(x)} for h, x in rows]
     return EXIT_OK, payload
 
 
@@ -226,7 +226,7 @@ def _cmd_generate(args):
     payload["duplicates"] = payload.pop("allow_duplicates")
     payload["count"] = len(records)
     payload["puzzles"] = [
-        {k: _json(v) for k, v in _fields(rec).items()} for rec in records
+        {k: _json(getattr(rec, k)) for k in rec._fields} for rec in records
     ]
     return EXIT_OK, payload
 
@@ -257,6 +257,11 @@ def _internal(exc: Exception) -> str:
     return f"error: internal: {type(exc).__name__}: {exc}\n"
 
 
+# _internal(MemoryError())'s outcome, built at import: with the heap full,
+# a handler that formats text can fail again and exit 1, or never return
+_OUT_OF_MEMORY = (EXIT_INTERNAL, "", "error: internal: MemoryError: \n")
+
+
 def _execute(argv: list[str] | None) -> tuple[int, str, str]:
     """Return argv's exit code, stdout text and stderr text; write nothing.
 
@@ -272,11 +277,13 @@ def _execute(argv: list[str] | None) -> tuple[int, str, str]:
             args = build_parser().parse_args(argv)
         render = to_json if args.format == "json" else to_text
         code, payload = _DISPATCH[args.command](args)
-        return code, render(payload), ""
+        return code, render({k: _json(v) for k, v in payload.items()}), ""
     except SystemExit as exc:  # 0 after --help, 2 after a usage error
         return exc.code, out.getvalue(), err.getvalue()
     except HerdsplitError as exc:
         return EXIT_INVALID, "", f"error: {exc}\n"
+    except MemoryError:
+        return _OUT_OF_MEMORY
     except Exception as exc:  # a crash must not read as "infeasible"
         return EXIT_INTERNAL, "", _internal(exc)
     finally:

@@ -233,8 +233,12 @@ sys.exit(code)
          (GOLDEN / "check_json.txt").read_text(), "fractions json"),
         (["breakdown", "--divisors", "2,3,9", "--herd", "17"], 0,
          (GOLDEN / "breakdown_feasible.txt").read_text(), "fractions"),
+        (["generate", "--heirs", "3", "--max-divisor", "9", "--max-loan", "1"], 0,
+         (GOLDEN / "generate.txt").read_text(), ""),
+        (["herds", "--divisors", "2,3,9", "--limit", "60", "--format", "json"], 0,
+         (GOLDEN / "herds_rows_json.txt").read_text(), "json"),
     ],
-    ids=["text-solve", "json-check", "text-breakdown"],
+    ids=["text-solve", "json-check", "text-breakdown", "text-generate", "json-herds"],
 )
 def test_a_command_loads_only_the_modules_it_uses(argv, code, stdout, loaded):
     src = str(Path(__file__).parent.parent / "src")

@@ -9,7 +9,8 @@ named by its line number and command (`0412-solve`). `corpus_argvs`
 builds the list; the file must hold exactly that list, in order, so a
 change to the corpus or to any output is a visible edit to one file.
 A text argv and its `--format json` twin give the same code and stderr,
-and unless the code is 2 the JSON holds every number of the text.
+unless the code is 2 the JSON holds every number of the text, and when
+the code is 0 or 1 the text is `cli.to_text` of the parsed JSON.
 argparse usage errors and help text are left out: their wording moves
 between Python versions. `USAGE` in `test_cli_contract.py` checks the
 contract on four usage errors, and the `help*.txt` goldens pin the help
@@ -27,6 +28,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from herdsplit import cli
 
 from references import LCM_800_CHECK
 from test_cli_contract import assert_contract, run_cli
@@ -133,12 +136,16 @@ ARGVS = {tuple(argv) for _, argv in ENTRIES}
 def assert_the_formats_agree(text, as_json):
     """A text argv's outcome and its JSON twin's have the same code and
     stderr. Unless the code is 2, every number of the text is in the JSON,
-    which adds at most "1": the denominator of a whole share."""
+    which adds at most "1": the denominator of a whole share. With a result
+    (code 0 or 1), the text prints the very payload the JSON encodes; no
+    digit limit applies, as every integer in it stays a string."""
     code, out, err = text
     assert (as_json[0], as_json[2]) == (code, err)
     if code != 2:
         numbers = set(re.findall(r"\d+", out))
         assert numbers <= set(re.findall(r"\d+", as_json[1])) <= numbers | {"1"}
+    if code in (0, 1):
+        assert out == cli.to_text(json.loads(as_json[1]))
 
 
 def test_corpus_lists_the_built_argvs():

@@ -5,7 +5,9 @@ Every case runs through `python -m herdsplit`, and also through the
 `herdsplit` console script when the interpreter's scripts directory holds
 one, as `pip install -e .` puts there. A case with a stream that is not a
 plain pipe runs buffered and unbuffered: a buffered stream fails at its
-flush, an unbuffered one at its write.
+flush, an unbuffered one at its write. A case with a memory cap runs with
+its address space capped (`RLIMIT_AS`, set in the child alone), on Linux
+only.
 """
 
 import contextlib
@@ -44,6 +46,7 @@ class Case(NamedTuple):
     out: object = ""  # what a piped stdout reads, or a check of it
     stdout: str = "pipe"
     stderr: str = "pipe"
+    cap_mb: int = 0  # the child's address-space cap in MiB; 0 for none
 
 
 def _prints_count(n):
@@ -64,6 +67,7 @@ GENERATE = ["generate", "--heirs", "3", "--max-divisor", "9", "--max-loan", "1"]
 HUGE_GENERATE = ["generate", "--max-divisor", str(10**12), "--heirs"]
 MINUS_5000_ONES = "-" + "1" * 5000
 HERDS = ["herds", "--divisors", "2,3,9", "--limit"]
+MEMORY_ERROR = "error: internal: MemoryError: \n"
 
 CASES = {
     "solve-json": Case(SOLVE_17_AS_JSON, 0, out=SOLVE_17_JSON),
@@ -119,6 +123,13 @@ CASES = {
     "head-json": Case(
         [*HERDS, "1000000", "--format", "json"], 0, out='{\n  "divis', stdout="head"
     ),
+    # running out of memory exits 3, never 1 and never hangs: this search's
+    # records fill 128 MiB in about a second, before its node budget trips
+    "memory-generate": Case(
+        ["generate", "--heirs", "3", "--max-divisor", "400"], 3, MEMORY_ERROR,
+        cap_mb=128,
+    ),
+    "memory-herds": Case([*HERDS, str(10**30)], 3, MEMORY_ERROR, cap_mb=128),
 }
 
 
@@ -134,6 +145,14 @@ def _wire(stack, wiring):
     os.close(read_end)
     stack.callback(os.close, write_end)
     return write_end
+
+
+def _capped(mb):
+    """A preexec_fn that caps the child's address space at `mb` MiB."""
+    import resource  # POSIX only, and a capped case runs on Linux alone
+
+    cap = mb * 2**20
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
 def launch(launcher, case, unbuffered):
@@ -154,7 +173,10 @@ def launch(launcher, case, unbuffered):
     with contextlib.ExitStack() as stack:
         stdout, stderr = (_wire(stack, wiring) for wiring in wirings.values())
         proc = stack.enter_context(
-            subprocess.Popen(cmd, stdout=stdout, stderr=stderr, env=env, text=True)
+            subprocess.Popen(
+                cmd, stdout=stdout, stderr=stderr, env=env, text=True,
+                preexec_fn=_capped(case.cap_mb) if case.cap_mb else None,
+            )
         )
         stack.callback(proc.kill)  # ends a process past its timeout
         if case.stdout == "head":
@@ -172,6 +194,10 @@ def _params():
                 pytest.mark.skipif(not os.path.exists(path), reason=f"needs {path}")
                 for path in map(NEEDS.get, wirings & NEEDS.keys())
             ]
+            if case.cap_mb:
+                marks.append(pytest.mark.skipif(
+                    sys.platform != "linux", reason="needs Linux's RLIMIT_AS"
+                ))
             modes = ["buffered"] if wirings == {"pipe"} else ["buffered", "unbuffered"]
             for mode in modes:
                 yield pytest.param(
