@@ -6,13 +6,12 @@ classic one-borrowed-unit puzzles are exactly those with m - r = 1.
 """
 
 from .errors import BoundsTooLarge, InvalidInput, require_int
-from .solver import _m_and_r_step, _record
+from .solver import _m_and_r_step, _Record
 
 DEFAULT_NODE_BUDGET = 10**7
 
 
-@_record
-class SearchBounds:
+class SearchBounds(_Record):
     """Search box: exact heir count, divisor cap, optional loan cap."""
 
     __slots__ = ("heirs", "max_divisor", "max_loan", "allow_duplicates")
@@ -38,8 +37,7 @@ class SearchBounds:
             object.__setattr__(self, name, value)
 
 
-@_record
-class PuzzleRecord:
+class PuzzleRecord(_Record):
     """A canonical divisor tuple with its minimal feasible instance."""
 
     __slots__ = (
@@ -76,9 +74,18 @@ def enumerate_specs(
 
     A backtrack moves the deepest slot on to its span's next divisor. Each
     admissible placement is one node; a span is charged whole when its slot
-    opens, and exceeding the budget raises.
+    opens, and exceeding the budget raises. The search runs twice: a first
+    walk charges every span and builds nothing, so a search past the budget
+    raises before it builds any record, and only then does a second walk
+    build them.
     """
     require_int("node_budget", node_budget, 0)
+    _walk(bounds, node_budget, build=False)
+    return _walk(bounds, node_budget, build=True)
+
+
+def _walk(bounds: SearchBounds, node_budget: int, build: bool) -> list[PuzzleRecord]:
+    """`enumerate_specs`'s search; it builds the records only when `build`."""
     top, loan_cap = bounds.max_divisor, bounds.max_loan
     gap = 0 if bounds.allow_duplicates else 1
     records: list[PuzzleRecord] = []
@@ -108,7 +115,8 @@ def enumerate_specs(
                 f"enumeration exceeded the node budget of {node_budget}"
             )
         if remaining == 1:
-            for s in range(s, hi + 1):
+            # the first walk only charges the span
+            for s in range(s, hi + 1) if build else ():
                 new_m, new_r = _m_and_r_step(m, r, s)
                 loan = new_m - new_r
                 if loan_cap is None or loan <= loan_cap:

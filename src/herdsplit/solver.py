@@ -17,6 +17,7 @@ top-ups x/s_i absorb it exactly.
 
 import functools
 import math
+import operator
 from collections.abc import Iterable
 
 from . import _kernels
@@ -30,83 +31,57 @@ def _fraction_class():
     return Fraction
 
 
-def _frozen_setattr(self, name, value):
-    raise AttributeError(f"cannot assign to field {name!r}")
+class _Record:
+    """Base of the immutable result records: a slotted class of fields.
 
-
-def _frozen_delattr(self, name):
-    raise AttributeError(f"cannot delete field {name!r}")
-
-
-def _record_values(self) -> tuple:
-    return tuple([getattr(self, f) for f in self._fields])
-
-
-def _record_hash(self):
-    return hash(_record_values(self))
-
-
-def _record_repr(self):
-    shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-    return f"{type(self).__qualname__}({shown})"
-
-
-def _record_reduce(self):  # copy and pickle rebuild through the checked __init__
-    return type(self), _record_values(self)
-
-
-_RECORD_METHODS = (
-    "__init__",
-    "__eq__",
-    "__hash__",
-    "__repr__",
-    "__reduce__",
-    "__setattr__",
-    "__delattr__",
-)
-
-
-def _record(cls):
-    """Finish a slotted class as an immutable record of its fields.
-
-    The fields are the class's `_fields` when it names them, else its
-    `__slots__`. Like a frozen dataclass, the record is built from its
+    The fields are the class's own `_fields` when it names them, else its
+    own `__slots__`. Like a frozen dataclass, a record is built from its
     fields by position or keyword, shows them in its repr, compares them
     with `==` only against its own class, hashes them, and raises
-    AttributeError on assignment or deletion. A method the class defines
-    is kept.
+    AttributeError on assignment or deletion. A subclass that names no
+    field of its own keeps its parent's.
     """
-    fields = getattr(cls, "_fields", cls.__slots__)
-    cls._fields = cls.__match_args__ = fields
-    mine = "".join(f"self.{f}," for f in fields)
-    theirs = "".join(f"other.{f}," for f in fields)
-    source = (
-        "def __eq__(self, other):\n"
-        " if other.__class__ is self.__class__:\n"
-        f"  return ({mine}) == ({theirs})\n"
-        " return NotImplemented\n"
-    )
-    if "__init__" not in cls.__dict__:
-        source += f"def __init__(self, {', '.join(fields)}):\n" + "".join(
-            f" _set(self, {f!r}, {f})\n" for f in fields
-        )
-    namespace = {
-        "_set": object.__setattr__,
-        "__hash__": _record_hash,
-        "__repr__": _record_repr,
-        "__reduce__": _record_reduce,
-        "__setattr__": _frozen_setattr,
-        "__delattr__": _frozen_delattr,
-    }
-    exec(source, namespace)  # as dataclasses does, so == costs what it does there
-    for name in _RECORD_METHODS:
-        if name not in cls.__dict__:
-            setattr(cls, name, namespace[name])
-    return cls
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        own = cls.__dict__
+        fields = own.get("_fields") or own.get("__slots__")
+        if not fields:
+            return
+        cls._fields = cls.__match_args__ = fields
+        cls._values = operator.attrgetter(*fields)  # one field: its bare value
+        if "__init__" not in own:  # from source, as dataclasses does: no *args cost
+            source = f"def __init__(self, {', '.join(fields)}):\n" + "".join(
+                f" _set(self, {f!r}, {f})\n" for f in fields
+            )
+            namespace = {"_set": object.__setattr__}
+            exec(source, namespace)
+            cls.__init__ = namespace["__init__"]
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):  # copy and pickle rebuild through the checked __init__
+        return type(self), tuple([getattr(self, f) for f in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@_record
-class FractionSum:
+class FractionSum(_Record):
     """The share sum written over the lcm denominator, unreduced."""
 
     __slots__ = (
@@ -140,8 +115,7 @@ def _m_and_r(divisors: tuple[int, ...]) -> tuple[int, int]:
     return m, r
 
 
-@_record
-class ShareSpec:
+class ShareSpec(_Record):
     """Validated divisor list: heir i gets 1/divisors[i], input order kept.
 
     Only constructible when the unit fractions sum to strictly less than 1.
@@ -171,8 +145,7 @@ class ShareSpec:
         object.__setattr__(self, "fraction_sum", fs)
 
 
-@_record
-class LoanSolution:
+class LoanSolution(_Record):
     """A feasible split: borrow `loan`, divide `augmented`, return `loan`."""
 
     __slots__ = (
@@ -184,8 +157,7 @@ class LoanSolution:
     )
 
 
-@_record
-class Infeasible:
+class Infeasible(_Record):
     """Diagnosis for a herd that is not a multiple of r."""
 
     __slots__ = (
@@ -196,15 +168,13 @@ class Infeasible:
     )
 
 
-@_record
-class NotFoundWithinBound:
+class NotFoundWithinBound(_Record):
     """A bounded brute-force scan found no working loan."""
 
     __slots__ = ("herd", "bound")
 
 
-@_record
-class FractionalBreakdown:
+class FractionalBreakdown(_Record):
     """Exact fractional view of a division attempt, in Fractions."""
 
     __slots__ = (

@@ -123,10 +123,16 @@ CASES = {
     "head-json": Case(
         [*HERDS, "1000000", "--format", "json"], 0, out='{\n  "divis', stdout="head"
     ),
-    # running out of memory exits 3, never 1 and never hangs: this search's
-    # records fill 128 MiB in about a second, before its node budget trips
+    # running out of memory exits 3, never 1 and never hangs: this search
+    # passes its node budget, and its 454,870 records fill 128 MiB
     "memory-generate": Case(
-        ["generate", "--heirs", "3", "--max-divisor", "400"], 3, MEMORY_ERROR,
+        ["generate", "--heirs", "4", "--max-divisor", "60"], 3, MEMORY_ERROR,
+        cap_mb=128,
+    ),
+    # a search past its node budget exits 2 before it builds one record, so
+    # it never fills the memory its records would take
+    "budget-generate": Case(
+        ["generate", "--heirs", "3", "--max-divisor", "400"], 2, BUDGET_ERROR,
         cap_mb=128,
     ),
     "memory-herds": Case([*HERDS, str(10**30)], 3, MEMORY_ERROR, cap_mb=128),

@@ -82,16 +82,25 @@ class TestEnumerate:
 
     @on_the_grid
     def test_budget_is_the_placement_count(
-        self, heirs, max_divisor, max_loan, allow_duplicates
+        self, heirs, max_divisor, max_loan, allow_duplicates, monkeypatch
     ):
         """A budget of exactly the admissible placement count is enough, and
-        one node less raises."""
+        one node less raises before any record is built."""
         bounds = SearchBounds(heirs, max_divisor, max_loan, allow_duplicates)
         n = brute_force_node_count(bounds)
         enumerate_specs(bounds, node_budget=n)
         if n:
+            built = 0
+
+            def counting_record(**fields):
+                nonlocal built
+                built += 1
+                return PuzzleRecord(**fields)
+
+            monkeypatch.setattr("herdsplit.generator.PuzzleRecord", counting_record)
             with pytest.raises(BoundsTooLarge):
                 enumerate_specs(bounds, node_budget=n - 1)
+            assert built == 0
 
     def test_contains_the_classic_triple(self):
         records = enumerate_specs(SearchBounds(heirs=3, max_divisor=9, max_loan=1))

@@ -18,6 +18,8 @@ from herdsplit import (
     PuzzleRecord,
     SearchBounds,
     ShareSpec,
+    solve,
+    validate_spec,
 )
 
 
@@ -144,3 +146,17 @@ def test_a_record_is_a_frozen_value(cls, fields, text):
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert repr(record) == text
+
+
+def test_a_record_matches_its_fields_by_position():
+    match solve(validate_spec([2, 3, 9]), 17):
+        case LoanSolution(herd, loan, _, _, shares):
+            assert (herd, loan, shares) == (17, 1, (9, 6, 2))
+        case other:
+            pytest.fail(f"no match: {other!r}")
+    # a spec's one field is its divisors; fraction_sum is no positional field
+    match validate_spec([2, 3, 9]):
+        case ShareSpec(divisors):
+            assert divisors == (2, 3, 9)
+        case other:
+            pytest.fail(f"no match: {other!r}")
