@@ -29,13 +29,22 @@ the solver it checks.
 def scan_first_loan(herd: int, bound: int, divisors: tuple[int, ...]) -> int | None:
     """First x in 0..bound that splits herd exactly, or None.
 
-    Raises ValueError unless divisors is a non-empty tuple of integers >= 1.
+    Raises ValueError unless divisors is a non-empty tuple of ints >= 1,
+    so a bool, float or str divisor raises it too.
     """
-    if not divisors or min(divisors) < 1:
+    # Plain loops, not min(), max() or sum() over a generator: the tuples
+    # are short, and a builtin call costs more than its loop. Each divisor's
+    # type is checked before it is compared with an int, so a float, bool or
+    # str divisor raises the ValueError below, not a TypeError or a scan.
+    top = 0
+    for s in divisors:
+        if type(s) is not int or s < 1:
+            top = 0
+            break
+        if s > top:
+            top = s
+    if not top:  # empty, or a divisor that is not an int >= 1
         raise ValueError(f"divisors must be integers >= 1, got {divisors!r}")
-    top = max(divisors)
-    # Plain loops, not sum() over a generator: a scan takes only a few
-    # totals, and a generator per total costs more than its loop.
     most = 0
     for s in divisors:
         most += -(-top // s)

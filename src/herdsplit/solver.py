@@ -31,6 +31,28 @@ def _fraction_class():
     return Fraction
 
 
+def _ratios(numerator: int, denominators: Iterable[int]) -> list:
+    """numerator/d for each d, as Fractions in lowest terms, one gcd each.
+
+    The package's one Fraction builder, valid for an int numerator >= 0 and
+    int denominators >= 1, which is what every caller passes. Then
+    numerator//g over d//g, with g = gcd(numerator, d), is already reduced
+    with a positive denominator, so it skips Fraction()'s type dispatch and
+    stores the two slots directly, as CPython's own
+    Fraction._from_coprime_ints does.
+    """
+    Fraction = _fraction_class()
+    new, gcd = object.__new__, math.gcd
+    out = []
+    for d in denominators:
+        g = gcd(numerator, d)
+        q = new(Fraction)
+        q._numerator = numerator // g
+        q._denominator = d // g
+        out.append(q)
+    return out
+
+
 class _Record:
     """Base of the immutable result records: a slotted class of fields.
 
@@ -91,8 +113,11 @@ class FractionSum(_Record):
 
     @property
     def reduced(self):
-        """r/m in lowest terms, built when read, so a spec builds no Fraction."""
-        return _fraction_class()(self.r, self.m)
+        """r/m in lowest terms, built when read, so a spec builds no Fraction.
+
+        Built by `_ratios`, like every Fraction the solver returns.
+        """
+        return _ratios(self.r, (self.m,))[0]
 
     def __repr__(self):
         return f"FractionSum(m={self.m!r}, r={self.r!r}, reduced={self.reduced!r})"
@@ -204,12 +229,12 @@ def _loan(fs: FractionSum, herd: int) -> int | None:
 
 def _solution(spec: ShareSpec, herd: int, augmented: int) -> LoanSolution:
     """The split of `augmented` = herd + loan, a multiple of every divisor."""
-    return LoanSolution(
-        herd=herd,
-        loan=augmented - herd,
-        augmented=augmented,
-        multiplier=augmented // spec.fraction_sum.m,
-        shares=tuple(augmented // s for s in spec.divisors),
+    return LoanSolution(  # by position: keywords cost more per record
+        herd,
+        augmented - herd,
+        augmented,
+        augmented // spec.fraction_sum.m,
+        tuple([augmented // s for s in spec.divisors]),
     )
 
 
@@ -219,11 +244,8 @@ def solve(spec: ShareSpec, herd: int) -> LoanSolution | Infeasible:
     loan = _loan(fs, herd)
     if loan is None:
         below = herd // fs.r * fs.r
-        return Infeasible(
-            herd=herd,
-            r=fs.r,
-            nearest_below=below if below >= fs.r else None,
-            nearest_above=below + fs.r,
+        return Infeasible(  # herd, r, nearest_below, nearest_above
+            herd, fs.r, below if below >= fs.r else None, below + fs.r
         )
     return _solution(spec, herd, herd + loan)
 
@@ -242,15 +264,16 @@ def fractional_breakdown(spec: ShareSpec, herd: int) -> FractionalBreakdown:
     The leftover herd - sum(herd/s_i) is herd*(m - r)/m, read off the
     spec's (m, r) since sum(1/s_i) = r/m exactly. Works for any herd >= 1;
     the top-up list is empty when the herd is infeasible, since the
-    leftover only decomposes into loan/s_i terms when a loan exists.
+    leftover only decomposes into loan/s_i terms when a loan exists. Every
+    value is built reduced by `_ratios`, one gcd each.
     """
-    Fraction = _fraction_class()
     fs = spec.fraction_sum
     loan = _loan(fs, herd)
-    raw = tuple(Fraction(herd, s) for s in spec.divisors)
-    leftover = Fraction(herd * (fs.m - fs.r), fs.m)
-    topups = () if loan is None else tuple(Fraction(loan, s) for s in spec.divisors)
-    return FractionalBreakdown(raw_shares=raw, leftover=leftover, topups=topups)
+    divisors = spec.divisors
+    raw = tuple(_ratios(herd, divisors))
+    leftover = _ratios(herd * (fs.m - fs.r), (fs.m,))[0]
+    topups = () if loan is None else tuple(_ratios(loan, divisors))
+    return FractionalBreakdown(raw, leftover, topups)
 
 
 def oracle_solve(
@@ -272,7 +295,7 @@ def oracle_solve(
     require_int("loan_bound", loan_bound)
     x = _kernels.scan_first_loan(herd, loan_bound, spec.divisors)
     if x is None:
-        return NotFoundWithinBound(herd=herd, bound=loan_bound)
+        return NotFoundWithinBound(herd, loan_bound)
     return _solution(spec, herd, herd + x)
 
 

@@ -110,7 +110,10 @@ class TestSmallGrid:
 
 
 def test_empty_or_non_positive_divisors_are_rejected():
-    for divisors in [(), (0,), (-2,), (-2, 3), (3, 0)]:
+    # A float, bool or str divisor is rejected too, not scanned as a number
+    # or surfaced as a TypeError from comparing it with an int.
+    non_ints = [(2.0, 3), (2.5, 3), (True, 3), ("3",), (3, "3")]
+    for divisors in [(), (0,), (-2,), (-2, 3), (3, 0), *non_ints]:
         for bound in (-1, 0, 12):
             with pytest.raises(ValueError, match="divisors must be integers >= 1"):
                 scan_first_loan(3, bound, divisors)

@@ -1,5 +1,6 @@
 """The closed form on worked instances, plus its structural properties."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from herdsplit.solver import (
     Infeasible,
     LoanSolution,
     NotFoundWithinBound,
+    _ratios,
     explain,
     fraction_sum,
     fractional_breakdown,
@@ -86,6 +88,45 @@ def test_the_oracle_finds_the_worked_loan_and_no_other(
     if loan is not None:  # the bound is inclusive
         assert oracle_solve(spec, herd, loan) == solve(spec, herd)
         assert oracle_solve(spec, herd, loan - 1) == NotFoundWithinBound(herd, loan - 1)
+
+
+def _built(numerator, denominators):
+    try:
+        return _ratios(numerator, denominators)
+    except AttributeError as exc:
+        pytest.fail(
+            "_ratios stores Fraction's _numerator and _denominator slots "
+            f"directly, and this Python's Fraction has no such slot: {exc}"
+        )
+
+
+@given(
+    st.integers(0, 10**40),
+    st.lists(st.integers(1, 10**30), min_size=1, max_size=4),
+)
+@settings(max_examples=300)
+@example(0, [1, 7])
+@example(10**40, [10**30, 1, 3])
+@example(17, [2, 3, 9, 18])
+def test_the_fraction_builder_matches_the_public_constructor(n, denominators):
+    # n less its remainder is a multiple of the first denominator, so every
+    # draw also builds a whole number
+    for numerator in (n, n - n % denominators[0]):
+        built = _built(numerator, denominators)
+        assert len(built) == len(denominators)
+        for q, d in zip(built, denominators):
+            expected = Fraction(numerator, d)
+            assert type(q) is Fraction
+            assert (q.numerator, q.denominator) == (
+                expected.numerator,
+                expected.denominator,
+            )
+            assert q == expected and hash(q) == hash(expected)
+            assert repr(q) == repr(expected)
+            back = pickle.loads(pickle.dumps(q))
+            assert type(back) is Fraction and back == expected
+            assert q + Fraction(1, 3) == expected + Fraction(1, 3) == Fraction(1, 3) + q
+    assert _built(n, ()) == []
 
 
 @given(st.lists(st.integers(1, 40), min_size=1, max_size=8))
