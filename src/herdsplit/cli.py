@@ -18,13 +18,15 @@ keeps the code. A failed stream is pointed at os.devnull.
 """
 
 import argparse
+import atexit
 import contextlib
 import functools
+import gc
 import io
 import os
 import sys
 
-from . import generator, solver
+from . import solver
 from .errors import HerdsplitError
 
 EXIT_OK = 0
@@ -214,6 +216,8 @@ def _cmd_breakdown(args):
 
 
 def _cmd_generate(args):
+    from . import generator  # here, not at the top: no other command runs it
+
     bounds = generator.SearchBounds(
         heirs=args.heirs,
         max_divisor=args.max_divisor,
@@ -311,4 +315,12 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    """The console script: run sys.argv and exit with its code.
+
+    gc.freeze runs at exit, so the interpreter's last collections skip the
+    heap instead of walking it. The exit stays a normal one: atexit
+    callbacks, profilers and the stdio flush still run. It is registered
+    here, not at import, so a library caller's heap is never frozen.
+    """
+    atexit.register(gc.freeze)
     sys.exit(run())

@@ -303,7 +303,10 @@ def explain(solution: LoanSolution) -> list[str]:
     """Narrate a solution: borrow, divide per heir, tally, return.
 
     Always len(shares) + 3 steps, every number drawn from the solution.
+    Anything but a LoanSolution (an Infeasible included) is InvalidInput.
     """
+    if not isinstance(solution, LoanSolution):
+        raise InvalidInput("solution must be a LoanSolution, got {!r}", solution)
     steps = [
         f"Borrow {solution.loan}: the pool grows from "
         f"{solution.herd} to {solution.augmented}."

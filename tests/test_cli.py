@@ -219,7 +219,10 @@ sys.path.insert(0, sys.argv[1])
 sys.path.append(sys.argv[2])
 from herdsplit.cli import run
 code = run(sys.argv[3:])
-watched = {"dataclasses", "fractions", "inspect", "json", "numpy", "typing"}
+watched = {
+    "dataclasses", "fractions", "herdsplit.generator", "inspect", "json", "numpy",
+    "typing",
+}
 print(*sorted(watched & sys.modules.keys()), file=sys.stderr)
 sys.exit(code)
 """
@@ -234,7 +237,7 @@ sys.exit(code)
         (["breakdown", "--divisors", "2,3,9", "--herd", "17"], 0,
          (GOLDEN / "breakdown_feasible.txt").read_text(), "fractions"),
         (["generate", "--heirs", "3", "--max-divisor", "9", "--max-loan", "1"], 0,
-         (GOLDEN / "generate.txt").read_text(), ""),
+         (GOLDEN / "generate.txt").read_text(), "herdsplit.generator"),
         (["herds", "--divisors", "2,3,9", "--limit", "60", "--format", "json"], 0,
          (GOLDEN / "herds_rows_json.txt").read_text(), "json"),
     ],

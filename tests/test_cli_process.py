@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import pytest
 
+from herdsplit.cli import _execute
 from references import (
     HUGE_HERD_SOLVE,
     LCM_800_CHECK,
@@ -225,3 +226,29 @@ def test_the_process_keeps_the_contract(launcher, case, unbuffered):
     assert code == case.code, err
     _check(case.out, out)
     _check(case.err, err)
+
+
+# main ends in a normal interpreter exit, so whatever runs at exit still runs
+SOLVE_17_TEXT = _execute(SOLVE_17)[1]
+ATEXIT_BEFORE_MAIN = """
+import atexit, runpy
+atexit.register(print, "atexit callback ran")
+runpy.run_module("herdsplit", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize(
+    "cmd, tail",
+    [
+        ([sys.executable, "-m", "cProfile", "-m", "herdsplit", *SOLVE_17],
+         "function calls"),
+        ([sys.executable, "-c", ATEXIT_BEFORE_MAIN, *SOLVE_17],
+         "atexit callback ran\n"),
+    ],
+    ids=["cprofile", "atexit"],
+)
+def test_the_exit_runs_what_was_registered_for_it(cmd, tail):
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(SOLVE_17_TEXT)
+    assert tail in proc.stdout[len(SOLVE_17_TEXT):]

@@ -15,6 +15,7 @@ from herdsplit import (
     ShareOverflow,
     ShareSpec,
     enumerate_specs,
+    explain,
     feasible_herds,
     fractional_breakdown,
     oracle_solve,
@@ -115,6 +116,14 @@ def _herd_cases():
                 id=f"node-budget-{budget!r}",
             )
             for budget in ["x", None, 10.5, True]
+        ),
+        *(
+            pytest.param(
+                partial(explain, bad),
+                f"solution must be a LoanSolution, got {bad!r}",
+                id=f"explain-{type(bad).__name__}",
+            )
+            for bad in [solve(CLASSIC, 16), None]
         ),
         # rounds to 1.7e+18, a multiple of r = 17: in floats it would split, loan 1e+17
         pytest.param(

@@ -3,8 +3,12 @@ the contract every result record keeps."""
 
 import copy
 import importlib
+import json
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +57,42 @@ def test_the_public_names_are_exactly_these():
         "solve",
         "validate_spec",
     ]
+
+
+# -S skips site, whose .pth files may preload modules; src/ is put on the path.
+BARE_IMPORT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import herdsplit
+seen = {"loaded": sorted(m for m in sys.modules if m.startswith("herdsplit."))}
+seen["dir"] = dir(herdsplit)
+seen["generator"] = herdsplit.generator.__name__
+try:
+    herdsplit.Rational
+except AttributeError as exc:
+    seen["unknown"] = str(exc)
+star = {}
+exec("from herdsplit import *", star)
+seen["star"] = sorted(star.keys() - {"__builtins__"})
+print(json.dumps(seen))
+"""
+
+
+def test_a_bare_import_loads_no_submodule_and_each_name_on_first_read():
+    src = str(Path(__file__).parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", BARE_IMPORT, src],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["loaded"] == []
+    assert set(herdsplit.__all__) <= set(seen["dir"])
+    assert seen["generator"] == "herdsplit.generator"
+    assert seen["unknown"] == "module 'herdsplit' has no attribute 'Rational'"
+    assert seen["star"] == sorted(herdsplit.__all__)
 
 
 # Retired names; README's Library section gives the spelling to use for each.
