@@ -120,14 +120,8 @@ def _walk(bounds: SearchBounds, node_budget: int, build: bool) -> list[PuzzleRec
                 new_m, new_r = _m_and_r_step(m, r, s)
                 loan = new_m - new_r
                 if loan_cap is None or loan <= loan_cap:
-                    records.append(
-                        PuzzleRecord(
-                            divisors=(*prefix, s),
-                            r=new_r,
-                            m=new_m,
-                            minimal_herd=new_r,
-                            minimal_loan=loan,
-                        )
+                    records.append(  # by position: keywords cost more per record
+                        PuzzleRecord((*prefix, s), new_r, new_m, new_r, loan)
                     )
             s = hi + 1
         while s > hi:

@@ -15,20 +15,13 @@ raw entitlements N/s_i leave a leftover of N*(m - r)/m, and the per-heir
 top-ups x/s_i absorb it exactly.
 """
 
-import functools
 import math
-import operator
 from collections.abc import Iterable
 
 from . import _kernels
 from .errors import InvalidInput, ShareOverflow, require_int
 
-
-@functools.cache  # fractions loads on the first Fraction built, not at import
-def _fraction_class():
-    from fractions import Fraction
-
-    return Fraction
+_Fraction = None  # fractions.Fraction, imported when the first Fraction is built
 
 
 def _ratios(numerator: int, denominators: Iterable[int]) -> list:
@@ -39,10 +32,14 @@ def _ratios(numerator: int, denominators: Iterable[int]) -> list:
     numerator//g over d//g, with g = gcd(numerator, d), is already reduced
     with a positive denominator, so it skips Fraction()'s type dispatch and
     stores the two slots directly, as CPython's own
-    Fraction._from_coprime_ints does.
+    Fraction._from_coprime_ints does. The `fractions` module is imported on
+    the first call, not at import, and kept in the module global
+    `_Fraction`, so later calls pay one global read for the class.
     """
-    Fraction = _fraction_class()
-    new, gcd = object.__new__, math.gcd
+    global _Fraction
+    if _Fraction is None:
+        from fractions import Fraction as _Fraction
+    Fraction, new, gcd = _Fraction, object.__new__, math.gcd
     out = []
     for d in denominators:
         g = gcd(numerator, d)
@@ -59,9 +56,15 @@ class _Record:
     The fields are the class's own `_fields` when it names them, else its
     own `__slots__`. Like a frozen dataclass, a record is built from its
     fields by position or keyword, shows them in its repr, compares them
-    with `==` only against its own class, hashes them, and raises
+    with `==` and `!=` only against its own class, hashes them, and raises
     AttributeError on assignment or deletion. A subclass that names no
     field of its own keeps its parent's.
+
+    `__eq__`, `__ne__` and `__hash__`, and `__init__` when the class writes
+    none, are compiled from one source string per class, as dataclasses
+    does. Each reads the fields by name and `__init__` stores each through
+    its slot's own descriptor, so no call pays for a field loop, an
+    attrgetter or `object.__setattr__`'s lookup by name.
     """
 
     __slots__ = ()
@@ -72,22 +75,28 @@ class _Record:
         if not fields:
             return
         cls._fields = cls.__match_args__ = fields
-        cls._values = operator.attrgetter(*fields)  # one field: its bare value
-        if "__init__" not in own:  # from source, as dataclasses does: no *args cost
-            source = f"def __init__(self, {', '.join(fields)}):\n" + "".join(
-                f" _set(self, {f!r}, {f})\n" for f in fields
+        mine, theirs = (
+            ", ".join(f"{of}.{f}" for f in fields) for of in ("self", "other")
+        )
+        if len(fields) > 1:  # one field compares and hashes as its bare value
+            mine, theirs = f"({mine})", f"({theirs})"
+        source = "".join(
+            f"def __{op}__(self, other):\n"
+            " if other.__class__ is self.__class__:\n"
+            f"  return {mine} {sign} {theirs}\n"
+            " return NotImplemented\n"
+            for op, sign in (("eq", "=="), ("ne", "!="))
+        ) + f"def __hash__(self):\n return hash({mine})\n"
+        setters = {}
+        if "__init__" not in own:
+            source += f"def __init__(self, {', '.join(fields)}):\n" + "".join(
+                f" _set_{f}(self, {f})\n" for f in fields
             )
-            namespace = {"_set": object.__setattr__}
-            exec(source, namespace)
-            cls.__init__ = namespace["__init__"]
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values(self) == other._values(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values(self))
+            setters = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
+        made = {}
+        exec(source, setters, made)
+        for name, method in made.items():
+            setattr(cls, name, method)
 
     def __repr__(self):
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -221,7 +230,8 @@ def fraction_sum(spec: ShareSpec) -> FractionSum:
 
 def _loan(fs: FractionSum, herd: int) -> int | None:
     """The loan herd/r * (m - r) when r divides `herd`, else None."""
-    require_int("herd", herd, 1)
+    if type(herd) is not int or herd < 1:  # the check inline; require_int says why
+        require_int("herd", herd, 1)
     if herd % fs.r:
         return None
     return herd // fs.r * (fs.m - fs.r)
@@ -291,8 +301,9 @@ def oracle_solve(
     sum(ceil(max(s_i) / s_i)) to the total), in O(log herd) totals however
     far the loan, and then tests that one candidate.
     """
-    require_int("herd", herd, 1)
-    require_int("loan_bound", loan_bound)
+    if type(herd) is not int or herd < 1 or type(loan_bound) is not int:
+        require_int("herd", herd, 1)  # in this order: the herd is reported first
+        require_int("loan_bound", loan_bound)
     x = _kernels.scan_first_loan(herd, loan_bound, spec.divisors)
     if x is None:
         return NotFoundWithinBound(herd, loan_bound)

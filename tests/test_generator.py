@@ -92,10 +92,10 @@ class TestEnumerate:
         if n:
             built = 0
 
-            def counting_record(**fields):
+            def counting_record(*values, **fields):
                 nonlocal built
                 built += 1
-                return PuzzleRecord(**fields)
+                return PuzzleRecord(*values, **fields)
 
             monkeypatch.setattr("herdsplit.generator.PuzzleRecord", counting_record)
             with pytest.raises(BoundsTooLarge):

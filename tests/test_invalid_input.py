@@ -76,10 +76,29 @@ def _herd_cases():
             ]
         ),
         *_herd_cases(),
+        *(
+            pytest.param(
+                partial(op, CLASSIC, 0, *args),
+                "herd must be >= 1, got 0",
+                id=f"{op.__name__}-zero",
+            )
+            for op, args in HERD_OPS
+        ),
         pytest.param(
             lambda: oracle_solve(CLASSIC, 17, 10.0),
             "loan_bound must be an integer, got 10.0",
             id="oracle-bound",
+        ),
+        pytest.param(
+            lambda: oracle_solve(CLASSIC, 17, True),
+            "loan_bound must be an integer, got True",
+            id="oracle-bool-bound",
+        ),
+        # both are bad: the herd is reported first
+        pytest.param(
+            lambda: oracle_solve(CLASSIC, 0, 10.0),
+            "herd must be >= 1, got 0",
+            id="oracle-herd-first",
         ),
         pytest.param(
             lambda: feasible_herds(CLASSIC, 40.0),

@@ -188,6 +188,19 @@ def test_a_record_is_a_frozen_value(cls, fields, text):
     assert repr(record) == text
 
 
+@pytest.mark.parametrize(
+    "cls, fields, text", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS]
+)
+def test_a_record_compares_every_field(cls, fields, text):
+    record = cls(**fields)
+    for name in cls.__match_args__:  # every field, defaulted ones included
+        # the same record with this one field changed, past the frozen guard
+        other = copy.copy(record)
+        object.__setattr__(other, name, "changed")
+        assert other != record and not other == record, name
+        assert record != other and not record == other, name
+
+
 def test_a_record_matches_its_fields_by_position():
     match solve(validate_spec([2, 3, 9]), 17):
         case LoanSolution(herd, loan, _, _, shares):
