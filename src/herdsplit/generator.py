@@ -31,10 +31,7 @@ class SearchBounds(_Record):
             raise InvalidInput(
                 "allow_duplicates must be a bool, got {!r}", allow_duplicates
             )
-        for name, value in zip(
-            self._fields, (heirs, max_divisor, max_loan, allow_duplicates)
-        ):
-            object.__setattr__(self, name, value)
+        self._store(heirs, max_divisor, max_loan, allow_duplicates)
 
 
 class PuzzleRecord(_Record):
@@ -79,6 +76,10 @@ def enumerate_specs(
     raises before it builds any record, and only then does a second walk
     build them.
     """
+    try:
+        bounds.heirs  # the first read of the bounds, checked in signature order
+    except AttributeError:
+        raise InvalidInput("bounds must be a SearchBounds, got {!r}", bounds) from None
     require_int("node_budget", node_budget, 0)
     _walk(bounds, node_budget, build=False)
     return _walk(bounds, node_budget, build=True)

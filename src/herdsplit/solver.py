@@ -60,11 +60,12 @@ class _Record:
     AttributeError on assignment or deletion. A subclass that names no
     field of its own keeps its parent's.
 
-    `__eq__`, `__ne__` and `__hash__`, and `__init__` when the class writes
-    none, are compiled from one source string per class, as dataclasses
-    does. Each reads the fields by name and `__init__` stores each through
-    its slot's own descriptor, so no call pays for a field loop, an
-    attrgetter or `object.__setattr__`'s lookup by name.
+    `__eq__`, `__ne__`, `__hash__` and one store are compiled from one
+    source string per class, as dataclasses does. The store takes the
+    class's own `__slots__` by position and sets each through its slot's
+    own descriptor. It is the class's `__init__` when the class writes
+    none, else `_store`, which a checking `__init__` calls last. So no call
+    pays for a field loop, an attrgetter or a lookup of the slot by name.
     """
 
     __slots__ = ()
@@ -75,11 +76,12 @@ class _Record:
         if not fields:
             return
         cls._fields = cls.__match_args__ = fields
+        # (a) is a's bare value, so one field compares and hashes as itself
         mine, theirs = (
-            ", ".join(f"{of}.{f}" for f in fields) for of in ("self", "other")
+            f"({', '.join(f'{of}.{f}' for f in fields)})" for of in ("self", "other")
         )
-        if len(fields) > 1:  # one field compares and hashes as its bare value
-            mine, theirs = f"({mine})", f"({theirs})"
+        slots = own["__slots__"]
+        store = "_store" if "__init__" in own else "__init__"
         source = "".join(
             f"def __{op}__(self, other):\n"
             " if other.__class__ is self.__class__:\n"
@@ -87,12 +89,10 @@ class _Record:
             " return NotImplemented\n"
             for op, sign in (("eq", "=="), ("ne", "!="))
         ) + f"def __hash__(self):\n return hash({mine})\n"
-        setters = {}
-        if "__init__" not in own:
-            source += f"def __init__(self, {', '.join(fields)}):\n" + "".join(
-                f" _set_{f}(self, {f})\n" for f in fields
-            )
-            setters = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
+        source += f"def {store}(self, {', '.join(slots)}):\n" + "".join(
+            f" _set_{f}(self, {f})\n" for f in slots
+        )
+        setters = {f"_set_{f}": getattr(cls, f).__set__ for f in slots}
         made = {}
         exec(source, setters, made)
         for name, method in made.items():
@@ -175,8 +175,7 @@ class ShareSpec(_Record):
         fs = FractionSum(m, r)
         if r >= m:  # sum(1/s_i) = r/m
             raise ShareOverflow(fs.reduced)
-        object.__setattr__(self, "divisors", divisors)
-        object.__setattr__(self, "fraction_sum", fs)
+        self._store(divisors, fs)
 
 
 class LoanSolution(_Record):
@@ -225,7 +224,10 @@ def validate_spec(divisors: Iterable[int]) -> ShareSpec:
 
 def fraction_sum(spec: ShareSpec) -> FractionSum:
     """The (r, m) pair for the spec, plus the reduced share sum r/m."""
-    return spec.fraction_sum
+    try:
+        return spec.fraction_sum
+    except AttributeError:
+        raise InvalidInput("spec must be a ShareSpec, got {!r}", spec) from None
 
 
 def _loan(fs: FractionSum, herd: int) -> int | None:
@@ -250,7 +252,10 @@ def _solution(spec: ShareSpec, herd: int, augmented: int) -> LoanSolution:
 
 def solve(spec: ShareSpec, herd: int) -> LoanSolution | Infeasible:
     """Split `herd` per the spec, or diagnose why no loan can work."""
-    fs = spec.fraction_sum
+    try:  # free when nothing is raised, unlike an isinstance test per call
+        fs = spec.fraction_sum
+    except AttributeError:
+        raise InvalidInput("spec must be a ShareSpec, got {!r}", spec) from None
     loan = _loan(fs, herd)
     if loan is None:
         below = herd // fs.r * fs.r
@@ -262,8 +267,11 @@ def solve(spec: ShareSpec, herd: int) -> LoanSolution | Infeasible:
 
 def feasible_herds(spec: ShareSpec, limit: int) -> list[tuple[int, int]]:
     """All (herd, loan) pairs with herd <= limit, in increasing order."""
+    try:
+        fs = spec.fraction_sum
+    except AttributeError:
+        raise InvalidInput("spec must be a ShareSpec, got {!r}", spec) from None
     require_int("limit", limit)
-    fs = spec.fraction_sum
     per_step_loan = fs.m - fs.r
     return [(a * fs.r, a * per_step_loan) for a in range(1, limit // fs.r + 1)]
 
@@ -277,7 +285,10 @@ def fractional_breakdown(spec: ShareSpec, herd: int) -> FractionalBreakdown:
     leftover only decomposes into loan/s_i terms when a loan exists. Every
     value is built reduced by `_ratios`, one gcd each.
     """
-    fs = spec.fraction_sum
+    try:
+        fs = spec.fraction_sum
+    except AttributeError:
+        raise InvalidInput("spec must be a ShareSpec, got {!r}", spec) from None
     loan = _loan(fs, herd)
     divisors = spec.divisors
     raw = tuple(_ratios(herd, divisors))
@@ -301,10 +312,14 @@ def oracle_solve(
     sum(ceil(max(s_i) / s_i)) to the total), in O(log herd) totals however
     far the loan, and then tests that one candidate.
     """
+    try:
+        divisors = spec.divisors
+    except AttributeError:
+        raise InvalidInput("spec must be a ShareSpec, got {!r}", spec) from None
     if type(herd) is not int or herd < 1 or type(loan_bound) is not int:
         require_int("herd", herd, 1)  # in this order: the herd is reported first
         require_int("loan_bound", loan_bound)
-    x = _kernels.scan_first_loan(herd, loan_bound, spec.divisors)
+    x = _kernels.scan_first_loan(herd, loan_bound, divisors)
     if x is None:
         return NotFoundWithinBound(herd, loan_bound)
     return _solution(spec, herd, herd + x)

@@ -17,6 +17,7 @@ from herdsplit import (
     enumerate_specs,
     explain,
     feasible_herds,
+    fraction_sum,
     fractional_breakdown,
     oracle_solve,
     solve,
@@ -143,6 +144,30 @@ def _herd_cases():
                 id=f"explain-{type(bad).__name__}",
             )
             for bad in [solve(CLASSIC, 16), None]
+        ),
+        # anything but a spec or bounds, checked before the later (bad) arguments
+        *(
+            pytest.param(
+                partial(op, bad, *args),
+                f"spec must be a ShareSpec, got {bad!r}",
+                id=f"{op.__name__}-spec-{type(bad).__name__}",
+            )
+            for op, args in [
+                (solve, (0,)),
+                (fractional_breakdown, (0,)),
+                (feasible_herds, (40.0,)),
+                (fraction_sum, ()),
+                (oracle_solve, (0, 10.0)),
+            ]
+            for bad in [(2, 3, 9), None]
+        ),
+        *(
+            pytest.param(
+                partial(enumerate_specs, bad, "x"),
+                f"bounds must be a SearchBounds, got {bad!r}",
+                id=f"enumerate-bounds-{type(bad).__name__}",
+            )
+            for bad in [None, (3, 9)]
         ),
         # rounds to 1.7e+18, a multiple of r = 17: in floats it would split, loan 1e+17
         pytest.param(

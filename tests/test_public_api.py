@@ -201,6 +201,28 @@ def test_a_record_compares_every_field(cls, fields, text):
         assert record != other and not record == other, name
 
 
+@pytest.mark.parametrize(
+    "cls, fields, text", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS]
+)
+def test_a_record_round_trip_keeps_every_slot(cls, fields, text):
+    def slots(of):  # each with its type: 0 == False, so a swap may compare equal
+        return [(n, type(getattr(of, n)), getattr(of, n)) for n in cls.__slots__]
+
+    record = cls(**fields)
+    assert not hasattr(record, "__dict__")
+    # each given field sits in its own slot; the copies then keep every slot
+    assert {n: getattr(record, n) for n in fields} == fields
+    if cls is ShareSpec:
+        assert record.fraction_sum == FractionSum(18, 17)
+    for made in [
+        copy.copy(record),
+        copy.deepcopy(record),
+        pickle.loads(pickle.dumps(record)),
+    ]:
+        assert type(made) is cls and not hasattr(made, "__dict__")
+        assert slots(made) == slots(record)
+
+
 def test_a_record_matches_its_fields_by_position():
     match solve(validate_spec([2, 3, 9]), 17):
         case LoanSolution(herd, loan, _, _, shares):
